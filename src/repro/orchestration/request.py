@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..channel.faults import ChannelFaultConfig
@@ -105,7 +105,14 @@ class RunRequest:
         return _sha256(canonical_json(self.as_dict()))[:12]
 
     def as_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
+        """The canonical payload: one shallow pass over the fields.
+
+        Every field already holds plain JSON data, so no deep copy is needed
+        for :func:`canonical_json` to see the same values.  The mapping
+        fields are copied into plain dicts (JSON cannot encode other
+        mappings) but their contents are shared with the request.
+        """
+        payload = {name: getattr(self, name) for name in _REQUEST_FIELDS}
         payload["scenario_params"] = dict(self.scenario_params)
         payload["config_overrides"] = dict(self.config_overrides)
         if self.topology is None:
@@ -187,9 +194,19 @@ class RunRequest:
         return f"{self.scenario}/{self.mode}/p={accuracy}/lob={self.lob_depth}"
 
 
-@dataclass
+_REQUEST_FIELDS = tuple(f.name for f in fields(RunRequest))
+
+
+@dataclass(frozen=True)
 class RunRecord:
-    """The deterministic outcome of one executed request."""
+    """The deterministic outcome of one executed request.
+
+    Records are frozen and encoded exactly once, at construction: the digest
+    (over every field but ``digest``) and the full canonical store line come
+    out of one shallow pass and are kept, so verifying a record read from a
+    store and writing it back out never re-encodes it.  The nested metric
+    dicts are shared with :meth:`as_dict` callers and must not be mutated.
+    """
 
     request_id: str
     label: str
@@ -216,16 +233,33 @@ class RunRecord:
     digest: str = ""
 
     def __post_init__(self) -> None:
+        # One canonical encoding pass, split around the "digest" key: the
+        # fields sorting before and after it, outer braces stripped.  Joined
+        # by a comma they are the payload the digest hashes; with the digest
+        # member between them they are the store line.
+        before = canonical_json(
+            {name: getattr(self, name) for name in _RECORD_FIELDS_BEFORE_DIGEST}
+        )[:-1]
+        after = canonical_json(
+            {name: getattr(self, name) for name in _RECORD_FIELDS_AFTER_DIGEST}
+        )[1:]
+        digest = _sha256(f"{before},{after}")[:16]
         if not self.digest:
-            self.digest = self.compute_digest()
+            object.__setattr__(self, "digest", digest)
+        line = f"{before},\"digest\":{json.dumps(self.digest)},{after}"
+        object.__setattr__(self, "_encoding", (digest, line))
 
     def compute_digest(self) -> str:
-        payload = self.as_dict()
-        payload.pop("digest", None)
-        return _sha256(canonical_json(payload))[:16]
+        """The digest the record's content hashes to (``digest`` excluded)."""
+        return self._encoding[0]
+
+    def canonical_line(self) -> str:
+        """The canonical single-line JSON encoding, ``digest`` included."""
+        return self._encoding[1]
 
     def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The record's fields by name (nested dicts shared, not copied)."""
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunRecord":
@@ -246,6 +280,12 @@ class RunRecord:
             "rollbacks": self.transitions.get("rollbacks", 0),
             "digest": self.digest,
         }
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+#: The two halves of a record's sorted-key encoding (``RunRecord.__post_init__``).
+_RECORD_FIELDS_BEFORE_DIGEST = tuple(name for name in _RECORD_FIELDS if name < "digest")
+_RECORD_FIELDS_AFTER_DIGEST = tuple(name for name in _RECORD_FIELDS if name > "digest")
 
 
 def _beat_digest(result: CoEmulationResult) -> str:

@@ -7,10 +7,13 @@ experiment runs.
 
 All mutations go through an atomic temp-file-plus-rename, so a store on disk
 is always a whole number of complete lines: an interrupted sweep can leave a
-*shorter* store than intended, never a torn one.  :meth:`RunStore.load_valid`
-additionally tolerates stores written by older, non-atomic writers (or damaged
-out-of-band) by skipping unparseable or digest-mismatched lines, which is what
-``sweep --resume`` uses to reconcile a partial store against its grid.
+*shorter* store than intended, never a torn one.  Every read verifies each
+record's digest.  Iterating a store (or :meth:`RunStore.load`) is strict and
+raises on the first damaged line, naming its byte offset;
+:meth:`RunStore.load_valid` instead tolerates stores written by older,
+non-atomic writers (or damaged out-of-band) by skipping unparseable or
+digest-mismatched lines, which is what ``sweep --resume`` uses to reconcile a
+partial store against its grid.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple, Union
 
-from .request import RunRecord, canonical_json
+from .request import RunRecord
 
 logger = logging.getLogger(__name__)
 
@@ -32,10 +35,12 @@ logger = logging.getLogger(__name__)
 def canonical_line(record: RunRecord) -> str:
     """The canonical single-line JSON encoding of one record.
 
-    Delegates to the same encoder that computes request ids and record
-    digests, so the store's bytes and the digests can never drift apart.
+    The line comes out of the same single encoding pass that computed the
+    record's digest (:class:`RunRecord` keeps it), so the store's bytes and
+    the digests can never drift apart -- and writing a record read from a
+    store or cache back out costs no second encode.
     """
-    return canonical_json(record.as_dict())
+    return record.canonical_line()
 
 
 def atomic_write_text(path: Path, data: str) -> None:
@@ -69,7 +74,9 @@ def parse_record_line(line: str) -> RunRecord:
 
     Raises ``ValueError`` on torn/garbled JSON, on payloads that do not fit
     the :class:`RunRecord` schema and on records whose content no longer
-    matches their digest (an edited or bit-rotted line).
+    matches their digest (an edited or bit-rotted line).  Constructing the
+    record encodes it once; the digest check and any later
+    :func:`canonical_line` both reuse that encoding.
     """
     try:
         payload = json.loads(line)
@@ -137,16 +144,33 @@ class RunStore:
         )
         return len(lines)
 
-    def __iter__(self) -> Iterator[RunRecord]:
+    def _lines(self) -> Iterator[Tuple[int, bytes]]:
+        """``(byte offset, raw line)`` for every non-blank line of the file."""
         if not self.path.exists():
             return
-        with self.path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield RunRecord.from_dict(json.loads(line))
+        offset = 0
+        with self.path.open("rb") as handle:
+            for raw in handle:
+                line_offset, offset = offset, offset + len(raw)
+                if raw.strip():
+                    yield line_offset, raw
+
+    def __iter__(self) -> Iterator[RunRecord]:
+        """Every record, digest-verified; strict about damage.
+
+        Raises ``ValueError`` naming the byte offset of the first damaged
+        line.  Use :meth:`scan` / :meth:`load_valid` to skip damage instead.
+        """
+        for offset, raw in self._lines():
+            try:
+                yield parse_record_line(raw.decode("utf-8").strip())
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise ValueError(
+                    f"store {self.path}: damaged record at byte offset {offset}: {exc}"
+                ) from None
 
     def load(self) -> List[RunRecord]:
+        """Every record, digest-verified (see :meth:`__iter__`)."""
         return list(self)
 
     def scan(self) -> StoreScan:
@@ -160,26 +184,19 @@ class RunStore:
         alongside torn lines).
         """
         result = StoreScan()
-        if not self.path.exists():
-            return result
-        offset = 0
-        with self.path.open("rb") as handle:
-            for raw in handle:
-                line_offset, offset = offset, offset + len(raw)
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                try:
-                    result.records.append(parse_record_line(line))
-                except ValueError as exc:
-                    result.torn.append(TornLine(line_offset, len(raw), str(exc)))
-                    logger.warning(
-                        "store %s: damaged record at byte offset %d (%d byte(s)): %s",
-                        self.path,
-                        line_offset,
-                        len(raw),
-                        exc,
-                    )
+        for offset, raw in self._lines():
+            line = raw.decode("utf-8", errors="replace").strip()
+            try:
+                result.records.append(parse_record_line(line))
+            except ValueError as exc:
+                result.torn.append(TornLine(offset, len(raw), str(exc)))
+                logger.warning(
+                    "store %s: damaged record at byte offset %d (%d byte(s)): %s",
+                    self.path,
+                    offset,
+                    len(raw),
+                    exc,
+                )
         return result
 
     def load_valid(self) -> Tuple[List[RunRecord], int]:
@@ -195,7 +212,8 @@ class RunStore:
         return scan.records, scan.torn_records
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        """Number of non-blank lines (records are not decoded or verified)."""
+        return sum(1 for _ in self._lines())
 
     def digest(self) -> str:
         """SHA-256 of the store file's bytes (empty-file digest if missing)."""

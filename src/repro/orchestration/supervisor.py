@@ -49,7 +49,7 @@ from ..channel.faults import ChannelDegradedError
 from .chaos import ChaosConfig, ChaosMonkey
 from .durable import CheckpointPolicy, DurableRunEvents, execute_request_durable
 from .request import RunRecord, RunRequest, canonical_json
-from .store import atomic_write_text, parse_record_line
+from .store import atomic_write_text, canonical_line, parse_record_line
 
 #: Exit code of a run killed by the watchdog for blowing its deadline.
 EXIT_TIMEOUT = 10
@@ -242,7 +242,7 @@ def _supervised_child(
     except BaseException:  # noqa: BLE001 - the whole point is to report it
         atomic_write_text(Path(error_path), traceback.format_exc())
         sys.exit(EXIT_CRASH)
-    atomic_write_text(Path(result_path), canonical_json(record.as_dict()) + "\n")
+    atomic_write_text(Path(result_path), canonical_line(record) + "\n")
 
 
 # --------------------------------------------------------------------------

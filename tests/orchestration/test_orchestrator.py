@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -128,8 +129,10 @@ def test_execute_request_analytical_engine_needs_no_mechanism():
 def test_record_digest_detects_tampering():
     record = execute_request(RunRequest(scenario="single_master", mode="conservative", cycles=60))
     assert record.digest == record.compute_digest()
-    record.performance += 1.0
-    assert record.digest != record.compute_digest()
+    tampered = dataclasses.replace(
+        record, performance=record.performance + 1.0, digest=record.digest
+    )
+    assert tampered.digest != tampered.compute_digest()
 
 
 # ---------------------------------------------------------------------------

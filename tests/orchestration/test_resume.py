@@ -126,6 +126,36 @@ def test_scan_of_a_clean_or_missing_store_logs_nothing(
     assert caplog.records == []
 
 
+def test_strict_load_names_the_byte_offset_of_a_tampered_line(tmp_path, grid_records):
+    path = tmp_path / "runs.jsonl"
+    good = canonical_line(grid_records[0])
+    tampered = canonical_line(grid_records[1]).replace(
+        '"monitors_ok":true', '"monitors_ok":false'
+    )
+    path.write_text(good + "\n" + tampered + "\n")
+    store = RunStore(path)
+    offset = len((good + "\n").encode("utf-8"))
+    with pytest.raises(ValueError, match=f"byte offset {offset}: .*digest check"):
+        store.load()
+    with pytest.raises(ValueError, match=f"byte offset {offset}"):
+        list(store)
+
+
+def test_strict_load_rejects_a_torn_line(tmp_path, grid_records):
+    path = tmp_path / "runs.jsonl"
+    path.write_text(canonical_line(grid_records[0])[:40] + "\n")
+    with pytest.raises(ValueError, match="byte offset 0: unparseable"):
+        RunStore(path).load()
+
+
+def test_len_counts_non_blank_lines_without_decoding(tmp_path, grid_records):
+    path = tmp_path / "runs.jsonl"
+    good = canonical_line(grid_records[0])
+    path.write_text(good + "\n\n  \n" + "not json\n" + good)
+    assert len(RunStore(path)) == 3
+    assert len(RunStore(tmp_path / "absent.jsonl")) == 0
+
+
 def test_parse_record_line_rejects_garbage():
     with pytest.raises(ValueError):
         parse_record_line("{torn")

@@ -15,7 +15,7 @@ from repro.orchestration import (
     RunStore,
     grid_requests,
 )
-from repro.orchestration.store import canonical_line
+from repro.orchestration.store import canonical_line, parse_record_line
 
 # ---------------------------------------------------------------------------
 # Synthetic record strategy: exercises the cache's serialisation boundary
@@ -33,9 +33,31 @@ metric_dicts = st.dictionaries(
     max_size=4,
 )
 
+#: Arbitrarily nested JSON payloads with the awkward values a canonical
+#: encoder must reproduce exactly: signed zero, subnormal and tiny floats,
+#: huge integers and non-ASCII keys (escaped by the encoder, sorted by code
+#: point).
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    finite_floats,
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308]),
+    st.text(max_size=8),
+)
+nested_dicts = st.recursive(
+    st.dictionaries(st.text(max_size=6), json_leaves, max_size=4),
+    lambda children: st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(json_leaves, children, st.lists(json_leaves | children, max_size=3)),
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+
 
 @st.composite
-def run_records(draw):
+def run_records(draw, payloads=metric_dicts):
     request_id = draw(
         st.text(alphabet="0123456789abcdef", min_size=12, max_size=12)
     )
@@ -52,13 +74,14 @@ def run_records(draw):
         committed_cycles=draw(st.integers(0, 10**6)),
         performance=draw(finite_floats),
         per_cycle_times=draw(metric_dicts),
-        channel=draw(metric_dicts),
-        transitions=draw(metric_dicts),
+        channel=draw(payloads),
+        transitions=draw(payloads),
         prediction=draw(metric_dicts),
         lob=draw(metric_dicts),
         monitors_ok=draw(st.booleans()),
         wasted_leader_cycles=draw(st.integers(0, 10**6)),
         beat_digest=draw(st.text(alphabet="0123456789abcdef", max_size=16)),
+        trace_replay=draw(payloads),
     )
 
 
@@ -100,6 +123,34 @@ def test_cache_put_many_round_trips_batches(tmp_path, records):
     assert len(reader) == len(first_by_id)
     for request_id, record in first_by_id.items():
         assert reader.get(request_id).as_dict() == record.as_dict()
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(run_records(nested_dicts), min_size=1, max_size=4))
+def test_nested_payloads_write_load_write_byte_stable(tmp_path, records):
+    """Store write -> load -> write reproduces the bytes for records whose
+    ``channel`` / ``transitions`` / ``trace_replay`` hold nested JSON, and
+    content tampering is still caught by the digest."""
+    directory = tmp_path / f"store{next(_example_dirs)}"
+    first = RunStore(directory / "first.jsonl")
+    second = RunStore(directory / "second.jsonl")
+    first.write(records)
+    loaded = first.load()
+    second.write(loaded)
+    assert first.path.read_bytes() == second.path.read_bytes()
+    assert [r.as_dict() for r in loaded] == [r.as_dict() for r in records]
+    assert [r.digest for r in loaded] == [r.digest for r in records]
+
+    line = canonical_line(records[0])
+    flag = "true" if records[0].monitors_ok else "false"
+    flipped = "false" if records[0].monitors_ok else "true"
+    tampered = line.replace(f'"monitors_ok":{flag}', f'"monitors_ok":{flipped}')
+    assert tampered != line
+    with pytest.raises(ValueError, match="digest check"):
+        parse_record_line(tampered)
+    first.path.write_text(tampered + "\n" + line + "\n")
+    valid, skipped = first.load_valid()
+    assert skipped == 1 and [canonical_line(r) for r in valid] == [line]
 
 
 # ---------------------------------------------------------------------------
