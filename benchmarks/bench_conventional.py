@@ -54,14 +54,13 @@ def test_bench_conventional_analytical(benchmark, report):
 
 def test_bench_conventional_mechanism(benchmark, report):
     def run(sim_speed):
-        spec = als_streaming_soc(n_bursts=8)
-        sim_hbm, acc_hbm, _ = spec.build_split()
+        partition = als_streaming_soc(n_bursts=8).build_partition()
         config = CoEmulationConfig(
             mode=OperatingMode("conservative"),
             total_cycles=300,
             simulator_speed=DomainSpeed(sim_speed),
         )
-        return create_engine(config, sim_hbm, acc_hbm).run()
+        return create_engine(config, partition=partition).run()
 
     def compute():
         return {speed: run(speed) for speed in (1_000_000.0, 100_000.0)}

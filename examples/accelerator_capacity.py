@@ -51,8 +51,8 @@ def main() -> None:
         total_cycles=400,
         rollback_variables=report["rollback_registers"],
     )
-    sim_hbm2, acc_hbm2, _ = als_streaming_soc(n_bursts=12).build_split()
-    result = create_engine(config, sim_hbm2, acc_hbm2).run()
+    partition = als_streaming_soc(n_bursts=12).build_partition()
+    result = create_engine(config, partition=partition).run()
     print(
         f"\nCo-emulation with that rollback budget: "
         f"{result.performance_cycles_per_second / 1000:.1f} kcycles/s, "

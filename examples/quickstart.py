@@ -24,9 +24,8 @@ TOTAL_CYCLES = 600
 
 def run_mode(mode: OperatingMode) -> "CoEmulationResult":
     spec = als_streaming_soc(n_bursts=16)
-    sim_hbm, acc_hbm, _ = spec.build_split()
     config = CoEmulationConfig(mode=mode, total_cycles=TOTAL_CYCLES)
-    return create_engine(config, sim_hbm, acc_hbm).run()
+    return create_engine(config, partition=spec.build_partition()).run()
 
 
 def main() -> None:

@@ -237,8 +237,8 @@ class AhbBusCore:
         self._info_cache = None
 
     def snapshot(self) -> dict:
-        """Owned payload (fast-copy protocol): the ``AddressPhase`` is frozen
-        and stored by reference; the request dict is a fresh copy."""
+        """Owned payload: the ``AddressPhase`` is frozen and stored by
+        reference; the request dict is a fresh copy."""
         return {
             "arbiter": self.arbiter.snapshot(),
             "data_phase": self.data_phase,
@@ -258,8 +258,6 @@ class AhbBusCore:
 
 class AhbBus(ClockedComponent):
     """The monolithic reference bus: all masters and slaves are local."""
-
-    snapshot_copy_free = True
 
     def __init__(
         self,

@@ -181,8 +181,6 @@ RECORD_HISTORY = 8192
 class HalfBusModel(ClockedComponent):
     """One domain's half of the split target bus."""
 
-    snapshot_copy_free = True
-
     def __init__(
         self,
         name: str,
@@ -762,25 +760,18 @@ class HalfBusModel(ClockedComponent):
             self._records_committed -= 1
         self._records_committed = n_records
 
-    # -- incremental checkpointing (checkpoint windows) -------------------------
-    #: The half bus is window-aware: slaves with their own journal (memories)
-    #: open sub-windows, everything else contributes its (owned, fast-copy)
-    #: snapshot.  This keeps per-transition rb_store cost proportional to the
-    #: registered/control state instead of to total memory size.
-    supports_checkpoint_window = True
-
+    # -- checkpoint windows -------------------------------------------------------
+    # Slaves checkpoint through their own windows (memories journal their
+    # writes); the core, masters, recorder and monitor contribute owned
+    # snapshots.  This keeps the per-transition rb_store cost proportional to
+    # the registered/control state instead of to total memory size.
     def open_checkpoint_window(self) -> dict:
         assert self.core is not None
         return {
             "core": self.core.snapshot(),
             "masters": {mid: m.snapshot_state() for mid, m in self.local_masters.items()},
             "slaves": {
-                sid: (
-                    slave.open_checkpoint_window()
-                    if slave.supports_checkpoint_window
-                    else slave.snapshot_state()
-                )
-                for sid, slave in self.local_slaves.items()
+                sid: slave.open_checkpoint_window() for sid, slave in self.local_slaves.items()
             },
             "recorder": self.recorder.snapshot(),
             "n_records": self._records_committed,
@@ -794,12 +785,8 @@ class HalfBusModel(ClockedComponent):
         self.core.restore(token["core"])
         for mid, m_state in token["masters"].items():
             self.local_masters[mid].restore_state(m_state)
-        for sid, s_state in token["slaves"].items():
-            slave = self.local_slaves[sid]
-            if slave.supports_checkpoint_window:
-                slave.rewind_checkpoint_window(s_state)
-            else:
-                slave.restore_state(s_state)
+        for sid, s_token in token["slaves"].items():
+            self.local_slaves[sid].rewind_checkpoint_window(s_token)
         self.recorder.restore(token["recorder"])
         self._trim_records(token["n_records"])
         self.interrupt_outputs = dict(token["interrupts"])
@@ -807,10 +794,8 @@ class HalfBusModel(ClockedComponent):
             self.monitor.restore(token["monitor"])
 
     def close_checkpoint_window(self, token: dict) -> None:
-        for sid, s_state in token["slaves"].items():
-            slave = self.local_slaves[sid]
-            if slave.supports_checkpoint_window:
-                slave.close_checkpoint_window(s_state)
+        for sid, s_token in token["slaves"].items():
+            self.local_slaves[sid].close_checkpoint_window(s_token)
 
     def rollback_variable_count(self) -> int:
         total = 0

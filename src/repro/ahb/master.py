@@ -37,11 +37,9 @@ class AhbMaster(ClockedComponent):
     5. :meth:`on_data_phase_done` -- a data phase owned by this master
        finished (HREADY high), carrying the slave response / read data.
 
-    Note on checkpointing: ``snapshot_copy_free`` is deliberately *not* set
-    on this base class.  Each concrete master opts in individually once its
-    payload has been audited against the fast-copy ownership contract; a new
-    subclass written in the legacy aliasing style stays on the safe
-    deep-copy path by default.
+    Snapshots follow the ownership contract of
+    :class:`~repro.sim.component.ClockedComponent`: checkpoints keep them by
+    reference, so a payload must never alias live mutable state.
     """
 
     def __init__(self, name: str, master_id: int, level: AbstractionLevel = AbstractionLevel.TL) -> None:
@@ -120,8 +118,6 @@ class IdleMaster(AhbMaster):
     contain no local masters.
     """
 
-    snapshot_copy_free = True  # stateless: the empty payload owns itself
-
     def drive_hbusreq(self, cycle: int) -> bool:
         return False
 
@@ -169,10 +165,6 @@ class MasterStats:
 
 class TrafficMaster(AhbMaster):
     """Executes a queue of :class:`BusTransaction` objects beat by beat."""
-
-    #: Fast-copy snapshot protocol: payloads are owned (fresh containers +
-    #: frozen ``AddressPhase`` references), never aliases of live state.
-    snapshot_copy_free = True
 
     def __init__(
         self,

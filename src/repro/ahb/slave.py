@@ -31,9 +31,9 @@ from .signals import AddressPhase, AhbError, DataPhaseResult
 class AhbSlave(ClockedComponent):
     """Interface every bus slave implements.
 
-    ``snapshot_copy_free`` is deliberately *not* set here: each concrete
-    slave opts into the fast-copy checkpoint protocol individually once its
-    payload is audited; unaudited subclasses keep the safe deep-copy path.
+    Snapshots follow the ownership contract of
+    :class:`~repro.sim.component.ClockedComponent`: checkpoints keep them by
+    reference, so a payload must never alias live mutable state.
     """
 
     def __init__(self, name: str, slave_id: int, level: AbstractionLevel = AbstractionLevel.TL) -> None:
@@ -97,16 +97,12 @@ class MemorySlave(AhbSlave):
     at word granularity (adequate for the word-oriented traffic the workloads
     generate).
 
-    The memory also implements *dirty-word tracking* for incremental
-    checkpointing: while a checkpoint window is open (see
+    The memory checkpoints by *dirty-word tracking*: while a checkpoint
+    window is open (see
     :meth:`~repro.sim.component.ClockedComponent.open_checkpoint_window`)
     every first write to a word journals its pre-write value, so rolling the
     window back costs O(words touched) instead of O(memory size).
     """
-
-    #: Fast-copy snapshot protocol: the words array is freshly copied on
-    #: store and treated as read-only on restore.
-    snapshot_copy_free = True
 
     def __init__(
         self,
@@ -197,12 +193,7 @@ class MemorySlave(AhbSlave):
         }
 
     def restore_state(self, state: dict) -> None:
-        # An open undo journal deliberately survives a full restore: a full
-        # snapshot restored while a window is open was necessarily taken
-        # *after* the window opened (the checkpoint stack is LIFO and
-        # incremental windows only exist at depth 0), so the journal still
-        # maps every index dirtied since window-open to its window-open value
-        # and a later rewind lands exactly on the window-open state.
+        # The words array is copied here, so the snapshot stays read-only.
         self._words = state["words"][:]
         self._wait_remaining = state["wait_remaining"]
         self.stats = SlaveStats(**state["stats"])
@@ -210,9 +201,7 @@ class MemorySlave(AhbSlave):
     def rollback_variable_count(self) -> int:
         return len(self._words) + 1
 
-    # -- incremental checkpointing (dirty-word journal) -------------------------
-    supports_checkpoint_window = True
-
+    # -- checkpoint window (dirty-word journal) ---------------------------------
     def open_checkpoint_window(self) -> dict:
         """Start journalling writes; returns the scalar sidecar state."""
         self._undo = {}
@@ -255,8 +244,6 @@ class FifoPeripheralSlave(AhbSlave):
     inserts wait states.  The resulting HREADY pattern is exactly the kind of
     behaviour the paper's producer-consumer response predictor targets.
     """
-
-    snapshot_copy_free = True  # payload is scalars + a fresh stats dict
 
     def __init__(
         self,
@@ -353,8 +340,6 @@ class DefaultSlave(AhbSlave):
     AHB requires a two-cycle ERROR response (first cycle HREADY low with
     HRESP=ERROR, second cycle HREADY high with HRESP=ERROR).
     """
-
-    snapshot_copy_free = True  # payload is a scalar + a fresh stats dict
 
     def __init__(self, name: str = "default_slave", slave_id: int = -1) -> None:
         super().__init__(name, slave_id, AbstractionLevel.TL)

@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -382,6 +383,11 @@ def _kernel_refusals(engine) -> Dict[str, int]:
     return totals
 
 
+def _trace_preset(mode: str) -> str:
+    """The fast-path preset ``--trace`` selects for ``mode``."""
+    return "conventional_trace" if mode == OperatingMode.CONSERVATIVE.value else "als_trace"
+
+
 def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
     topology = _parse_topology(args.topology)
     channel_faults = _parse_faults(args.faults, args.loss)
@@ -391,8 +397,7 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
         cycles=args.cycles,
         lob_depth=args.lob_depth,
         accuracy=args.accuracy,
-        engine=args.engine,
-        config_overrides={"trace_replay": True} if args.trace else {},
+        engine=_trace_preset(args.mode) if args.trace else args.engine,
         topology=topology,
         channel_faults=channel_faults,
     )
@@ -557,10 +562,11 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
         cycles=args.cycles,
         base_seed=args.seed,
         engine=args.engine,
-        config_overrides={"trace_replay": True} if args.trace else {},
         topology=topology,
         channel_faults=channel_faults,
     )
+    if args.trace:
+        requests = [replace(r, engine=_trace_preset(r.mode)) for r in requests]
     cache = ResultCache(args.cache) if args.cache else None
     store = RunStore(args.output) if args.output else None
     runner = BatchRunner(jobs=args.jobs)
@@ -868,10 +874,19 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lob-depth", type=int, default=64)
     run.add_argument("--accuracy", type=float, default=None)
     run.add_argument("--soc", choices=scenario_names(), default="als_streaming")
-    run.add_argument(
+    # --trace picks the mode's trace preset, so it cannot combine with an
+    # explicit --engine (argparse rejects the pair with exit code 2).
+    run_engine = run.add_mutually_exclusive_group()
+    run_engine.add_argument(
         "--engine",
         default=None,
         help="force a registered engine (e.g. 'analytical') instead of the mode default",
+    )
+    run_engine.add_argument(
+        "--trace", action="store_true",
+        help="run the mode's trace preset (conventional_trace / als_trace): "
+             "periodic trace replay, bit-identical to the scalar engine, only "
+             "faster on periodic steady states",
     )
     run.add_argument(
         "--topology", default=None, metavar="JSON|PATH",
@@ -888,12 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--loss", type=float, default=None, metavar="RATE",
         help="shortcut: i.i.d. frame-loss rate in [0, 1] (combines with "
              "--faults by overriding its loss_rate)",
-    )
-    run.add_argument(
-        "--trace", action="store_true",
-        help="enable periodic trace replay (the cycle-pattern cache); the "
-             "result is bit-identical to the scalar engine, only faster on "
-             "periodic steady states",
     )
     run.add_argument(
         "--profile", default=None, metavar="OUT.pstats",
@@ -929,13 +938,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cycles", type=int, default=300)
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep.add_argument("--seed", type=int, default=2005, help="base seed for the grid")
-    sweep.add_argument(
+    sweep_engine = sweep.add_mutually_exclusive_group()
+    sweep_engine.add_argument(
         "--engine", default=None,
         help="force a registered engine for every run (e.g. 'analytical')",
     )
-    sweep.add_argument(
+    sweep_engine.add_argument(
         "--trace", action="store_true",
-        help="enable periodic trace replay on every grid point (bit-identical "
+        help="run every grid point on its mode's trace preset (bit-identical "
              "results; the trace%% column shows the replayed-cycle share)",
     )
     sweep.add_argument(

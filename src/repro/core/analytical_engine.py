@@ -23,12 +23,7 @@ from typing import Optional
 
 from ..sim.time_model import WallClockLedger
 from .analytical import AnalyticalConfig, conventional_performance, estimate_performance
-from .coemulation import (
-    CoEmulationConfig,
-    CoEmulationResult,
-    DEFAULT_ROLLBACK_VARIABLES,
-    resolve_engine_args,
-)
+from .coemulation import CoEmulationConfig, CoEmulationResult, DEFAULT_ROLLBACK_VARIABLES
 from .engine import register_engine
 from .modes import OperatingMode
 
@@ -42,16 +37,10 @@ from .modes import OperatingMode
 class AnalyticalPseudoEngine:
     """Evaluate the analytical model as if it were a co-emulation run."""
 
-    def __init__(
-        self,
-        partition=None,
-        acc_hbm=None,
-        config: Optional[CoEmulationConfig] = None,
-    ) -> None:
-        # The partition (or legacy half-bus pair) is accepted for factory
-        # uniformity but never touched: the analytical model only sees
-        # speeds, costs and depths.
-        _, self.config = resolve_engine_args(partition, acc_hbm, config)
+    def __init__(self, partition, config: CoEmulationConfig) -> None:
+        # The partition is accepted for factory uniformity but never touched:
+        # the analytical model only sees speeds, costs and depths.
+        self.config = config
 
     def _analytical_config(self, mode: Optional[OperatingMode] = None) -> AnalyticalConfig:
         config = self.config

@@ -8,19 +8,28 @@ bus models, routing boundary values through the per-pair sync channels,
 charging modelled time to the shared ledger and packaging results.
 
 Engines consume a *partition mapping* (``{DomainId: HalfBusModel}``) plus a
-:class:`~repro.core.topology.Topology`; the legacy two-positional
-``(sim_hbm, acc_hbm, config)`` constructor form is still accepted and is
-interpreted as the canonical simulator/accelerator pair.
+:class:`~repro.core.topology.Topology`.
+
+Each engine class is the scalar oracle of its mode until
+:meth:`CoEmulationEngineBase.enable_fast_paths` switches on one or both fast
+paths (the registry's presets do this when the engine is built):
+
+* :data:`QUIESCENCE_SKIP` commits provably all-idle stretches of cycles in
+  one batched step instead of one Python dispatch per cycle;
+* :data:`PERIODIC_REPLAY` attaches the
+  :class:`~repro.core.trace.PeriodicTraceController`, which replays verified
+  periodic steady states of the lock-step loop from a template.
+
+Both are bit-identical to the scalar loops on every modelled quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ahb.half_bus import (
     BoundaryDrive,
-    HalfBusModel,
     drives_functionally_equal,
     merge_boundary_drives,
 )
@@ -56,6 +65,12 @@ from .transition import TransitionLog
 #: Paper default: the evaluation assumes 1,000 rollback variables.
 DEFAULT_ROLLBACK_VARIABLES = 1000
 
+#: Fast path: advance provably quiescent stretches as one batched step.
+QUIESCENCE_SKIP = "quiescence_skip"
+#: Fast path: replay verified periodic lock-step steady states.
+PERIODIC_REPLAY = "periodic_replay"
+FAST_PATHS = frozenset((QUIESCENCE_SKIP, PERIODIC_REPLAY))
+
 #: Shared empty interrupt map (read-only by convention) for remote views.
 _NO_INTERRUPTS: Dict[str, bool] = {}
 
@@ -83,6 +98,11 @@ class CoEmulationConfig:
     Defaults reproduce the paper's Table 2 environment: simulator at
     1,000 kcycles/s, accelerator at 10 Mcycles/s, LOB depth 64, 1,000
     rollback variables and the measured iPROVE PCI channel constants.
+
+    Every field is a modelled quantity or a workload knob.  Host-side fast
+    paths are not configured here: they are chosen with the engine, by
+    registry preset (``engine="conventional_trace"``, ``--engine``,
+    ``--trace``), and never change a result.
     """
 
     mode: OperatingMode = OperatingMode.ALS
@@ -100,24 +120,6 @@ class CoEmulationConfig:
     interrupt_names: List[str] = field(default_factory=list)
     keep_channel_log: bool = False
     stop_when_workload_done: bool = False
-    #: Batch-stepped engine selection: when True (and no explicit engine name
-    #: is requested) the registry resolves the operating mode to its
-    #: batch-stepping variant (``conventional_batch`` / ``als_batch``), which
-    #: advances provably quiescent stretches of cycles per Python-level
-    #: dispatch instead of one cycle at a time.  The batch engines are
-    #: bit-identical to the scalar ones on every modelled quantity (the
-    #: equivalence suites enforce digest equality); the scalar engines ignore
-    #: the flag.
-    batch_stepping: bool = False
-    #: Periodic steady-state trace replay (see :mod:`repro.core.trace`): when
-    #: True (and no explicit engine name is requested) the registry resolves
-    #: the operating mode to its trace variant (``conventional_trace`` /
-    #: ``als_trace``), which detects recurring per-cycle state signatures,
-    #: verifies one full period against a second scalar execution and then
-    #: replays further periods from the verified template.  Bit-identical to
-    #: the scalar engines on every modelled quantity; replay hit/verify/
-    #: bailout counters land on ``CoEmulationResult.trace_replay``.
-    trace_replay: bool = False
     #: Activity-gated multi-domain synchronisation (Chandy-Misra-Bryant style
     #: null-message reduction).  With three or more domains, a domain whose
     #: boundary drive is unchanged since it was last shipped exchanges
@@ -243,27 +245,6 @@ class CoEmulationResult:
         }
 
 
-def resolve_engine_args(
-    arg1,
-    arg2=None,
-    config: Optional[CoEmulationConfig] = None,
-) -> Tuple[Optional[Mapping[Domain, HalfBusModel]], CoEmulationConfig]:
-    """Normalise the two accepted engine constructor forms.
-
-    * New form: ``Engine(partition, config)`` where ``partition`` maps domain
-      ids to half bus models (``None`` for pseudo-engines).
-    * Legacy form: ``Engine(sim_hbm, acc_hbm, config)`` -- interpreted as the
-      canonical simulator/accelerator pair.
-    """
-    if isinstance(arg2, CoEmulationConfig):
-        return arg1, arg2
-    if config is None:
-        raise TypeError("engine constructors need a CoEmulationConfig")
-    if isinstance(arg1, HalfBusModel) or isinstance(arg2, HalfBusModel):
-        return {Domain.SIMULATOR: arg1, Domain.ACCELERATOR: arg2}, config
-    return arg1, config
-
-
 class CoEmulationEngineBase:
     """Shared plumbing of the conventional and optimistic engines."""
 
@@ -274,13 +255,13 @@ class CoEmulationEngineBase:
     #: reads predictor state in a conservative run).
     observe_during_conservative = True
 
-    def __init__(
-        self,
-        partition,
-        acc_hbm=None,
-        config: Optional[CoEmulationConfig] = None,
-    ) -> None:
-        partition, config = resolve_engine_args(partition, acc_hbm, config)
+    #: Fast paths, off by default (the scalar oracle); see
+    #: :meth:`enable_fast_paths`.  The run loops read them into locals once.
+    quiescence_skip = False
+    #: The periodic trace controller when :data:`PERIODIC_REPLAY` is on.
+    replay = None
+
+    def __init__(self, partition, config: CoEmulationConfig) -> None:
         if not partition:
             raise ValueError("co-emulation engines need a non-empty domain partition")
         partition = {Domain(domain): hbm for domain, hbm in partition.items()}
@@ -293,10 +274,7 @@ class CoEmulationEngineBase:
         for domain, hbm in partition.items():
             if hbm is None or hbm.domain != domain:
                 raise ValueError(
-                    "sim_hbm must be the simulator-domain half bus and acc_hbm the "
-                    "accelerator-domain half bus"
-                    if self.topology.is_canonical_pair
-                    else f"partition entry {domain.value!r} holds a half bus built for "
+                    f"partition entry {domain.value!r} holds a half bus built for "
                     f"domain {getattr(hbm, 'domain', None)!r}"
                 )
         self.config = config
@@ -424,6 +402,21 @@ class CoEmulationEngineBase:
         #: plumbing, never modelled state: they are stripped before a
         #: snapshot is taken and stay ``None`` on a restored engine.
         self.run_hook = None
+
+    def enable_fast_paths(self, fast_paths) -> None:
+        """Switch on the named fast paths (a subset of :data:`FAST_PATHS`).
+
+        Called once, between construction and :meth:`run`, by
+        :func:`~repro.core.engine.create_engine` for fast-path presets.
+        """
+        unknown = set(fast_paths) - FAST_PATHS
+        if unknown:
+            raise ValueError(f"unknown fast path(s): {sorted(unknown)}")
+        self.quiescence_skip = QUIESCENCE_SKIP in fast_paths
+        if PERIODIC_REPLAY in fast_paths:
+            from .trace import PeriodicTraceController
+
+            self.replay = PeriodicTraceController(self)
 
     # -- durable snapshots -------------------------------------------------------
     def _safe_point(self) -> None:
@@ -861,7 +854,7 @@ class CoEmulationEngineBase:
             slave_id=remote_slave,
         )
 
-    # -- batch stepping: quiescence fast-forward ----------------------------------
+    # -- fast path: quiescence skip ---------------------------------------------------
     def next_event_cycle(self) -> float:
         """Earliest future cycle at which any domain may initiate bus activity.
 
@@ -1176,11 +1169,7 @@ class CoEmulationEngineBase:
             wasted_leader_cycles=sum(host.wasted_cycles for host in self._host_list),
             ledger=self.ledger,
             domain_beat_keys=domain_beat_keys,
-            trace_replay=(
-                replay.stats.as_dict()
-                if (replay := getattr(self, "replay", None)) is not None
-                else {}
-            ),
+            trace_replay={} if self.replay is None else self.replay.stats.as_dict(),
         )
 
 

@@ -6,11 +6,15 @@ policy choosing among them, and the closed-form analytical model used for the
 published numbers.  This module turns that family into a registry so callers
 never branch on :class:`~repro.core.modes.OperatingMode` themselves:
 
-* :class:`Engine` -- the protocol every engine implements (construct from two
-  half bus models and a :class:`~repro.core.coemulation.CoEmulationConfig`,
+* :class:`Engine` -- the protocol every engine implements (construct from a
+  domain partition and a :class:`~repro.core.coemulation.CoEmulationConfig`,
   then ``run()``).
 * :func:`register_engine` -- class decorator through which engines register
-  themselves, optionally claiming the operating modes they implement.
+  themselves, optionally claiming the operating modes they implement.  One
+  engine class per synchronisation mode registers several *presets*: the
+  scalar oracle plus rows that switch on its fast paths
+  (:data:`~repro.core.coemulation.QUIESCENCE_SKIP`,
+  :data:`~repro.core.coemulation.PERIODIC_REPLAY`).
 * :func:`create_engine` -- the single factory replacing all mode if/else
   dispatch in the CLI, sweeps, benchmarks and examples.
 
@@ -23,7 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import get_close_matches
-from typing import Callable, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 from ..ahb.half_bus import HalfBusModel
 from ..sim.component import Domain
@@ -52,32 +65,22 @@ EngineFactory = Callable[
 
 @dataclass(frozen=True)
 class EngineInfo:
-    """One registry entry."""
+    """One registry entry: an engine class plus the fast paths it runs with.
+
+    Several entries may share one ``factory`` class; they differ only in
+    ``fast_paths``.  An entry with no fast paths is the scalar oracle.
+    """
 
     name: str
     factory: EngineFactory
     modes: Tuple[OperatingMode, ...]
     description: str
     requires_split: bool = True
+    fast_paths: FrozenSet[str] = frozenset()
 
 
 _REGISTRY: Dict[str, EngineInfo] = {}
 _MODE_INDEX: Dict[OperatingMode, str] = {}
-#: Mode-resolved engine name -> its batch-stepping variant.  Consulted when
-#: ``config.batch_stepping`` is set and no explicit ``engine=`` was given.
-_BATCH_VARIANTS: Dict[str, str] = {
-    "conventional": "conventional_batch",
-    "optimistic": "als_batch",
-}
-#: Mode-resolved engine name -> its trace-replay variant.  Consulted when
-#: ``config.trace_replay`` is set and no explicit ``engine=`` was given;
-#: wins over the batch variant (the trace engines extend the batch ones).
-_TRACE_VARIANTS: Dict[str, str] = {
-    "conventional": "conventional_trace",
-    "optimistic": "als_trace",
-    "conventional_batch": "conventional_trace",
-    "als_batch": "als_trace",
-}
 _BUILTINS_LOADED = False
 
 
@@ -96,13 +99,17 @@ def register_engine(
     modes: Tuple[OperatingMode, ...] = (),
     description: str = "",
     requires_split: bool = True,
+    fast_paths: Tuple[str, ...] = (),
 ):
     """Class decorator registering an engine under ``name``.
 
     ``modes`` lists the operating modes this engine is the default
     implementation for; :func:`create_engine` resolves ``config.mode``
-    through that index.  Engines registered with no modes (pseudo-engines)
-    are only reachable via the explicit ``engine=`` override.
+    through that index.  Engines registered with no modes (pseudo-engines
+    and fast-path presets) are only reachable via the explicit ``engine=``
+    override.  ``fast_paths`` names the fast paths :func:`create_engine`
+    switches on for this preset; stacking the decorator registers one class
+    under several presets.
     """
 
     def decorate(cls):
@@ -120,6 +127,7 @@ def register_engine(
             modes=tuple(modes),
             description=description or _first_docstring_line(cls),
             requires_split=requires_split,
+            fast_paths=frozenset(fast_paths),
         )
         for mode in modes:
             _MODE_INDEX[mode] = name
@@ -133,7 +141,7 @@ def _ensure_builtin_engines() -> None:
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    from . import analytical_engine, batch, conventional, optimistic, trace  # noqa: F401
+    from . import analytical_engine, conventional, optimistic  # noqa: F401
 
     _BUILTINS_LOADED = True
 
@@ -173,24 +181,11 @@ def engine_for_mode(mode: OperatingMode) -> str:
 
 
 def resolve_engine_name(config, engine: Optional[str] = None) -> str:
-    """The engine name a ``create_engine`` call would actually instantiate.
-
-    An explicit ``engine=`` wins outright; otherwise the mode's default
-    engine is promoted to its batch variant when ``config.batch_stepping``
-    is set, then to its trace variant when ``config.trace_replay`` is set
-    (the trace engines extend the batch run loop, so trace wins).
-    """
-    _ensure_builtin_engines()
+    """The engine name a ``create_engine`` call would actually instantiate:
+    the explicit ``engine=`` when given, else the mode's default engine."""
     if engine is not None:
         return engine
-    name = _MODE_INDEX.get(config.mode)
-    if name is None:
-        raise _unknown_mode_error(config.mode)
-    if getattr(config, "batch_stepping", False):
-        name = _BATCH_VARIANTS.get(name, name)
-    if getattr(config, "trace_replay", False):
-        name = _TRACE_VARIANTS.get(name, name)
-    return name
+    return engine_for_mode(config.mode)
 
 
 def get_engine_info(name: str) -> EngineInfo:
@@ -209,8 +204,6 @@ def get_engine_info(name: str) -> EngineInfo:
 
 def create_engine(
     config: CoEmulationConfig,
-    sim_hbm: Optional[HalfBusModel] = None,
-    acc_hbm: Optional[HalfBusModel] = None,
     *,
     partition: Optional[Mapping[Domain, HalfBusModel]] = None,
     engine: Optional[str] = None,
@@ -218,20 +211,19 @@ def create_engine(
     """Build the engine for ``config`` over a partitioned system.
 
     The partition is a ``{DomainId: HalfBusModel}`` mapping matching
-    ``config``'s topology (build it with ``SocSpec.build_partition``); the
-    legacy ``(sim_hbm, acc_hbm)`` positional pair is still accepted for the
-    canonical two-domain topology.  Selection is by ``config.mode`` through
-    the registry; pass ``engine=`` to force a specific registration (e.g.
-    ``"analytical"`` for the closed-form pseudo-engine, which ignores the
-    partition).
+    ``config``'s topology (build it with ``SocSpec.build_partition``).
+    Selection is by ``config.mode`` through the registry; pass ``engine=``
+    to force a specific registration -- a fast-path preset such as
+    ``"conventional_trace"``, or ``"analytical"`` for the closed-form
+    pseudo-engine, which ignores the partition.
     """
-    name = resolve_engine_name(config, engine)
-    info = get_engine_info(name)
-    if partition is None and (sim_hbm is not None or acc_hbm is not None):
-        partition = {Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}
+    info = get_engine_info(resolve_engine_name(config, engine))
     if info.requires_split and not partition:
         raise EngineRegistryError(
             f"engine {info.name!r} needs the half bus models of every topology "
             "domain; build them with SocSpec.build_partition()"
         )
-    return info.factory(partition, config)
+    built = info.factory(partition, config)
+    if info.fast_paths:
+        built.enable_fast_paths(info.fast_paths)
+    return built

@@ -36,16 +36,28 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from ..ahb.bus import DriveValues
-from ..ahb.half_bus import drives_functionally_equal, merge_boundary_drives
+from ..ahb.half_bus import (
+    _NO_INTERRUPTS,
+    BoundaryDrive,
+    drives_functionally_equal,
+    merge_boundary_drives,
+)
 from ..ahb.signals import AddressPhase, BusCycleRecord, DataPhaseResult, HTrans
 from ..ahb.transaction import CompletedBeat
+from ..sim.batchmath import repeat_add
 from ..sim.component import Domain
-from .coemulation import CoEmulationConfig, CoEmulationEngineBase, CoEmulationResult
+from .coemulation import (
+    PERIODIC_REPLAY,
+    QUIESCENCE_SKIP,
+    CoEmulationConfig,
+    CoEmulationEngineBase,
+    CoEmulationResult,
+)
 from .domain import DomainHost
 from .engine import register_engine
 from .lob import LeaderOutputBuffer, LobEntry
 from .modes import ModeDecision, OperatingMode, policy_for_mode
-from .prediction import PredictionStats
+from .prediction import PredictionRecord, PredictionStats
 from .transition import TransitionOutcome, TransitionRecord
 
 
@@ -88,6 +100,17 @@ class OptimisticRunTrace:
 
 
 @register_engine(
+    "als_trace",
+    fast_paths=(QUIESCENCE_SKIP, PERIODIC_REPLAY),
+    description="ALS batch engine with the trace-replay plumbing (replay "
+    "stays disabled while conservative cycles train the predictors)",
+)
+@register_engine(
+    "als_batch",
+    fast_paths=(QUIESCENCE_SKIP,),
+    description="batch-stepped prediction-and-rollback engine (fused run-ahead / follow-up)",
+)
+@register_engine(
     "optimistic",
     modes=(OperatingMode.SLA, OperatingMode.ALS, OperatingMode.AUTO),
     description="prediction-and-rollback engine (SLA / ALS / AUTO leaders)",
@@ -99,16 +122,34 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
     is exactly the paper's scheme; with N domains the leader predicts the
     merged boundary values of all laggers, flushes the LOB to each of them,
     and the laggers replay the buffered cycles in lock step among themselves.
+
+    With the quiescence skip on, the two per-cycle inner loops batch their
+    idle stretches (the transition structure is unchanged):
+
+    * **Run-Ahead**: when the leader bus is at its structural idle fixed
+      point and the predictor at its all-idle fixed point, ``k`` predicted
+      cycles (up to the local-activity horizon and the LOB budget) are
+      committed as one segment -- shared value-identical prediction records
+      and drive objects, per-cycle forced-failure RNG draws in scalar order,
+      one batched record adoption and one bit-exact batched time charge.
+    * **Follow-Up** (single lagger): a run of all-idle LOB entries against an
+      idle-stationary lagger replays as one segment with the per-entry
+      prediction checks folded into closed-form counter updates (every check
+      in such a run provably matches).
+
+    Path-trace-enabled runs keep the scalar loops (the trace is inherently
+    per-cycle).  Periodic replay never engages here: conservative cycles
+    train the predictors every cycle, so the controller refuses with a
+    single ``predictor_training`` bailout and only reports its counters.
     """
 
     def __init__(
         self,
         partition,
-        acc_hbm=None,
-        config: Optional[CoEmulationConfig] = None,
+        config: CoEmulationConfig,
         trace_paths: bool = False,
     ) -> None:
-        super().__init__(partition, acc_hbm, config)
+        super().__init__(partition, config)
         config = self.config
         if config.mode is OperatingMode.CONSERVATIVE:
             raise ValueError(
@@ -232,29 +273,49 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         lob = self.lob
         entries: List[LobEntry] = []
         entries_append = entries.append
-        depth = lob.depth
-        needed_fields = leader.hbm.needed_fields
+        hbm = leader.hbm
+        needed_fields = hbm.needed_fields
         can_predict = predictor.can_predict
         predict = predictor.predict
         observe = predictor.observe
-        run_cycle = leader.hbm.run_local_cycle
+        run_cycle = hbm.run_local_cycle
         clock = leader.clock
         execution = leader.execution
         buckets = self.ledger.buckets
         category = execution.category
         seconds_per_cycle = execution._seconds_per_cycle
         trace = self.trace if self.trace.enabled else None
+        skip = self.quiescence_skip and trace is None
+        idle_stationary = hbm.idle_stationary
+        is_idle_fixed_point = predictor.is_idle_fixed_point
         # Clock and execution-time bookkeeping are accumulated locally and
         # written back once after the loop.  The float additions happen in
         # exactly the per-cycle order (bucket += spc each iteration), so the
         # modelled times stay bit-identical to per-cycle charging.
         cycle = clock.cycle
         bucket_acc = buckets[category]
-        while ra_cycles < budget:
+        # The run ahead stops at the budget or at the LOB depth, whichever
+        # comes first.
+        depth = lob.depth
+        limit = budget if budget < depth else depth
+        while ra_cycles < limit:
             needed = needed_fields()
             if not can_predict(needed):
                 predictor.record_unpredictable()
                 break
+            if skip and idle_stationary() and is_idle_fixed_point(needed):
+                k = limit - ra_cycles
+                horizon = hbm.next_local_activity(cycle)
+                if horizon - cycle < k:
+                    k = int(horizon - cycle)
+                if k > 1 and self._run_ahead_idle_segment(
+                    leader, predictor, needed, cycle, k, entries_append
+                ):
+                    # One batched charge replicating k sequential += adds.
+                    bucket_acc = repeat_add(bucket_acc, seconds_per_cycle, k)
+                    cycle += k
+                    ra_cycles += k
+                    continue
             prediction = predict(cycle, needed)
             remote_drive, remote_response = prediction.as_boundary_values(cycle)
             local_drive, local_response, _ = run_cycle(cycle, remote_drive, remote_response)
@@ -274,8 +335,6 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
                 trace.record(leader.domain, cycle, CwPath.PREDICTION)
             cycle += 1
             ra_cycles += 1
-            if ra_cycles >= depth:
-                break
         clock.cycle = cycle
         clock.total_executed += ra_cycles
         buckets[category] = bucket_acc
@@ -285,6 +344,120 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
             return []
         lob.adopt(entries)
         return lob.flush()
+
+    def _run_ahead_idle_segment(
+        self,
+        leader: DomainHost,
+        predictor,
+        needed,
+        cycle: int,
+        count: int,
+        entries_append,
+    ) -> bool:
+        """Commit ``count`` all-idle run-ahead cycles as one batched segment.
+
+        Preconditions (established by the caller): the leader bus is
+        :meth:`~repro.ahb.half_bus.HalfBusModel.idle_stationary`, the
+        predictor is at its all-idle fixed point for ``needed``, and every
+        local master stays inactive for ``count`` cycles.  Under those
+        conditions each scalar iteration produces value-identical objects --
+        an all-idle prediction (``predict`` returns the remembered inactive
+        remote phase itself, cycle after cycle), an all-idle local drive (the
+        parked granted master returns its interned idle phase without side
+        effects) and an idle commit whose ``observe`` call is a state no-op
+        -- so the segment shares one prediction record and one drive object
+        across its LOB entries, draws the forced-failure RNG per cycle in
+        scalar order, and adopts the committed records in one step.
+
+        Returns ``False`` (leaving no state modified) when a structural
+        sanity guard fails; the caller then runs the scalar cycle.
+        """
+        hbm = leader.hbm
+        core = hbm.core
+        granted = core.arbiter.current_grant
+        local_requests = {mid: drive_req(cycle) for mid, drive_req in hbm._request_drivers}
+        if any(local_requests.values()):
+            return False
+        granted_master = hbm.local_masters.get(granted)
+        local_phase = (
+            granted_master.drive_address_phase(cycle, granted=True)
+            if granted_master is not None
+            else None
+        )
+        if local_phase is not None and local_phase.is_active:
+            return False
+        pred_requests = dict(predictor._last_requests) if needed.needs_remote_requests else None
+        pred_phase = (
+            predictor._last_remote_phase if needed.needs_remote_address_phase else None
+        )
+        shared_prediction = PredictionRecord(
+            cycle=cycle, requests=pred_requests, address_phase=pred_phase
+        )
+        shared_drive = BoundaryDrive(
+            cycle=cycle,
+            requests=local_requests,
+            address_phase=local_phase,
+            hwdata=None,
+            interrupts=_NO_INTERRUPTS,
+        )
+        # The merged commit values every scalar iteration would build:
+        # template + local + predicted requests (all False), the local idle
+        # phase (or the predicted inactive remote phase), the interned OKAY.
+        merged_requests = hbm._request_template.copy()
+        merged_requests.update(local_requests)
+        if pred_requests:
+            merged_requests.update(pred_requests)
+        merged_phase = local_phase if local_phase is not None else pred_phase
+        if merged_phase is None:
+            merged_phase = AddressPhase.idle_phase(granted)
+        okay = DataPhaseResult.okay()
+        records = [
+            BusCycleRecord(
+                cycle=cycle + offset,
+                granted_master=granted,
+                address_phase=merged_phase,
+                data_phase=None,
+                hwdata=None,
+                response=okay,
+                requests=merged_requests,
+            )
+            for offset in range(count)
+        ]
+        forced = predictor.forced_accuracy
+        if forced is not None and forced.accuracy < 1.0:
+            # One RNG draw per prediction, in scalar order; an injected
+            # failure gets its own record (the follow-up must see the flag).
+            should_fail = forced.should_fail
+            for offset in range(count):
+                prediction = shared_prediction
+                if should_fail():
+                    prediction = PredictionRecord(
+                        cycle=cycle + offset,
+                        requests=pred_requests,
+                        address_phase=pred_phase,
+                        forced_failure=True,
+                    )
+                entries_append(
+                    LobEntry(
+                        cycle=cycle + offset,
+                        leader_drive=shared_drive,
+                        leader_response=None,
+                        prediction=prediction,
+                    )
+                )
+        else:
+            for offset in range(count):
+                entries_append(
+                    LobEntry(
+                        cycle=cycle + offset,
+                        leader_drive=shared_drive,
+                        leader_response=None,
+                        prediction=shared_prediction,
+                    )
+                )
+        predictor.stats.predictions_made += count
+        hbm.adopt_idle_records(records, merged_requests)
+        return True
 
     # -- flush (S-path, leader side) ---------------------------------------------------------------
     def _flush_lob(
@@ -348,25 +521,168 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         actual_response = None
         execute_cycle = lagger.execute_cycle
         trace = self.trace if self.trace.enabled else None
-        for index, entry in enumerate(entries):
-            cycle = lagger.current_cycle
+        skip = self.quiescence_skip and trace is None
+        n = len(entries)
+        index = 0
+        while index < n:
+            if skip:
+                run = self._idle_followup_run(lagger, entries, index)
+                if run > 1 and self._replay_followup_idle(lagger, predictor, entries, index, run):
+                    index += run
+                    continue
+            entry = entries[index]
+            if trace is not None:
+                trace.record(lagger.domain, lagger.current_cycle, CwPath.LAGGER)
             lag_drive, lag_response, _ = execute_cycle(
                 entry.leader_drive, entry.leader_response
             )
-            if trace is not None:
-                trace.record(lagger.domain, cycle, CwPath.LAGGER)
-            if entry.prediction is None:
-                continue
-            matched, reason = entry.prediction.check(lag_drive, lag_response)
-            predictor.record_check(matched, entry.prediction.forced_failure)
-            if not matched:
-                failure_index = index
-                failure_reason = reason
-                injected = entry.prediction.forced_failure
-                actual_drive = lag_drive
-                actual_response = lag_response
-                break
+            prediction = entry.prediction
+            if prediction is not None:
+                matched, reason = prediction.check(lag_drive, lag_response)
+                predictor.record_check(matched, prediction.forced_failure)
+                if not matched:
+                    failure_index = index
+                    failure_reason = reason
+                    injected = prediction.forced_failure
+                    actual_drive = lag_drive
+                    actual_response = lag_response
+                    break
+            index += 1
         return failure_index, failure_reason, injected, actual_drive, actual_response
+
+    @staticmethod
+    def _entry_is_idle(entry: LobEntry) -> bool:
+        """Cheap per-entry test: does this LOB entry carry only idle values?
+
+        A qualifying entry has a non-forced prediction whose populated fields
+        are all at their idle values (so its check against the lagger's idle
+        actuals provably matches) and a leader contribution that commits as
+        an idle cycle on the lagger's replicated core.
+        """
+        prediction = entry.prediction
+        if prediction is None or prediction.forced_failure:
+            return False
+        if prediction.response is not None or prediction.hwdata is not None:
+            return False
+        if prediction.interrupts is not None:
+            return False
+        requests = prediction.requests
+        if requests is not None and any(requests.values()):
+            return False
+        phase = prediction.address_phase
+        if phase is not None and phase.is_active:
+            return False
+        drive = entry.leader_drive
+        if (
+            entry.leader_response is not None
+            or drive.hwdata is not None
+            or drive.interrupts
+        ):
+            return False
+        if any(drive.requests.values()):
+            return False
+        drive_phase = drive.address_phase
+        if drive_phase is not None and drive_phase.is_active:
+            return False
+        return True
+
+    def _idle_followup_run(self, lagger: DomainHost, entries: List[LobEntry], index: int) -> int:
+        """Length of the all-idle replay run starting at ``entries[index]``.
+
+        A run qualifies when every entry passes :meth:`_entry_is_idle` and
+        the lagger bus is idle-stationary with every local master inactive
+        for the run's whole span.  The per-entry field tests come first so a
+        busy entry -- the common case in dense traffic -- costs a few
+        attribute reads, not a bus-state probe.
+        """
+        entry_is_idle = self._entry_is_idle
+        if not entry_is_idle(entries[index]):
+            return 0
+        hbm = lagger.hbm
+        if not hbm.idle_stationary():
+            return 0
+        cycle = lagger.clock.cycle
+        horizon = hbm.next_local_activity(cycle)
+        if horizon <= cycle:
+            return 0
+        limit = len(entries) - index
+        span = horizon - cycle
+        if span < limit:
+            limit = int(span)
+        run = 0
+        for entry in entries[index : index + limit]:
+            if not entry_is_idle(entry):
+                break
+            run += 1
+        return run if run > 1 else 0
+
+    def _replay_followup_idle(
+        self,
+        lagger: DomainHost,
+        predictor,
+        entries: List[LobEntry],
+        index: int,
+        count: int,
+    ) -> bool:
+        """Replay ``count`` all-idle LOB entries on the lagger in one step.
+
+        Applies exactly what ``count`` scalar follow-up iterations would:
+        idle commits on the lagger core (same per-cycle records, same merged
+        phase selection), the per-cycle clock / execution-time bookkeeping
+        (bit-exact batched float adds) and the closed-form outcome of the
+        per-entry prediction checks (every check in a qualifying run
+        matches).  Returns ``False``, leaving no state modified, when a
+        structural sanity guard fails.
+        """
+        hbm = lagger.hbm
+        core = hbm.core
+        clock = lagger.clock
+        cycle = clock.cycle
+        granted = core.arbiter.current_grant
+        local_requests = {mid: drive_req(cycle) for mid, drive_req in hbm._request_drivers}
+        if any(local_requests.values()):
+            return False
+        granted_master = hbm.local_masters.get(granted)
+        local_phase = (
+            granted_master.drive_address_phase(cycle, granted=True)
+            if granted_master is not None
+            else None
+        )
+        if local_phase is not None and local_phase.is_active:
+            return False
+        shared_requests = hbm._request_template.copy()
+        okay = DataPhaseResult.okay()
+        records = []
+        for offset, entry in enumerate(entries[index : index + count]):
+            merged_phase = local_phase
+            if merged_phase is None:
+                merged_phase = entry.leader_drive.address_phase
+                if merged_phase is None:
+                    merged_phase = AddressPhase.idle_phase(granted)
+            records.append(
+                BusCycleRecord(
+                    cycle=cycle + offset,
+                    granted_master=granted,
+                    address_phase=merged_phase,
+                    data_phase=None,
+                    hwdata=None,
+                    response=okay,
+                    requests=shared_requests,
+                )
+            )
+        hbm.adopt_idle_records(records, shared_requests)
+        clock.cycle += count
+        clock.total_executed += count
+        execution = lagger.execution
+        buckets = self.ledger.buckets
+        buckets[execution.category] = repeat_add(
+            buckets[execution.category], execution._seconds_per_cycle, count
+        )
+        execution.cycles_charged += count
+        stats = predictor.stats
+        stats.predictions_checked += count
+        stats.predictions_correct += count
+        return True
 
     def _follow_up_group(self, laggers: List[DomainHost], predictor, entries: List[LobEntry]):
         """Multi-lagger follow-up: the laggers replay the buffered cycles in

@@ -218,10 +218,6 @@ class LaggerPredictor(ClockedComponent):
     domain and is captured / restored along with the leader's checkpoint.
     """
 
-    #: Fast-copy snapshot protocol: owned payload (fresh dicts, scalars and a
-    #: frozen ``AddressPhase`` reference).
-    snapshot_copy_free = True
-
     def __init__(
         self,
         name: str,

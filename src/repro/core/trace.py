@@ -1,7 +1,7 @@
 """Periodic steady-state trace replay: a cycle-pattern cache for busy loops.
 
-The batch-stepping engines (:mod:`repro.core.batch`) fast-forward only the
-degenerate steady state -- full quiescence.  Dense streaming workloads never
+The quiescence skip (:data:`~repro.core.coemulation.QUIESCENCE_SKIP`)
+fast-forwards only the degenerate steady state -- full quiescence.  Dense streaming workloads never
 quiesce: they run the scalar lock-step exchange cycle by cycle even though the
 bus activity is perfectly periodic (streaming bursts are periodic by
 construction).  This module adds the busy-loop analogue of quiescence
@@ -52,11 +52,6 @@ from ..ahb.signals import BusCycleRecord, DataPhaseResult, HBurst, HTrans
 from ..ahb.slave import MemorySlave
 from ..ahb.transaction import CompletedBeat
 from ..sim.batchmath import repeat_add, repeat_add_pattern
-from .batch import ConventionalBatchCoEmulation, OptimisticBatchCoEmulation
-from .coemulation import CoEmulationResult
-from .engine import register_engine
-from .modes import OperatingMode
-from .prediction import PredictionStats
 
 #: Longest period the cache will consider.  Streaming bursts repeat every few
 #: tens of cycles; anything longer is unlikely to recur often enough to pay
@@ -255,7 +250,8 @@ def _records_structurally_equal(a: BusCycleRecord, b: BusCycleRecord) -> bool:
 class PeriodicTraceController:
     """Detects, verifies and replays periodic steady states for one engine.
 
-    Attached to a trace engine as ``engine.replay``; the engine's run loop
+    Attached as ``engine.replay`` when the engine runs with
+    :data:`~repro.core.coemulation.PERIODIC_REPLAY`; the lock-step run loop
     calls :meth:`observe` after every scalar conservative cycle,
     :meth:`try_replay` when a template is armed, and
     :meth:`note_discontinuity` after quiescence fast-forwards.
@@ -298,10 +294,10 @@ class PeriodicTraceController:
         The conditions are all construction-time constants.
         """
         engine = self.engine
-        if getattr(engine, "observe_during_conservative", True):
+        if engine.observe_during_conservative:
             # Conservative cycles train the predictors per cycle; replaying
             # them would have to re-derive per-cycle predictor updates, which
-            # defeats the point.  The ALS trace engine stays honest and runs
+            # defeats the point.  The ALS trace preset stays honest and runs
             # its conservative stretches scalar.
             return "predictor_training"
         if len(engine._host_list) != 2:
@@ -937,68 +933,3 @@ class PeriodicTraceController:
         engine.ledger.commit_cycles(committed)
         engine.transitions.record_conservative_cycle(committed)
         return committed
-
-
-@register_engine(
-    "conventional_trace",
-    modes=(),
-    description="lock-step engine with periodic steady-state trace replay",
-)
-class ConventionalTraceCoEmulation(ConventionalBatchCoEmulation):
-    """Conventional batch engine plus the periodic trace cache.
-
-    Identical results to ``conventional`` / ``conventional_batch`` on every
-    modelled quantity; committed periodic stretches are replayed from a
-    verified template instead of re-deriving the schedule every cycle.
-    """
-
-    def __init__(self, partition, acc_hbm=None, config=None) -> None:
-        super().__init__(partition, acc_hbm, config)
-        self.replay = PeriodicTraceController(self)
-
-    def run(self) -> CoEmulationResult:
-        total = self.config.total_cycles
-        stop = self.config.stop_when_workload_done
-        ledger = self.ledger
-        replay = self.replay
-        while ledger.committed_cycles < total:
-            self._safe_point()
-            if not (stop and self._workload_done()):
-                run = self._idle_run_length(total - ledger.committed_cycles)
-                if run > 1:
-                    self._fast_forward_idle_cycles(run)
-                    replay.note_discontinuity()
-                    continue
-                if replay.state == "replay" and replay.try_replay():
-                    if stop and self._workload_done():
-                        break
-                    continue
-            self.run_conservative_cycle()
-            replay.observe()
-            if stop and self._workload_done():
-                break
-        return self._build_result(
-            OperatingMode.CONSERVATIVE, prediction=PredictionStats(), lob={}
-        )
-
-
-@register_engine(
-    "als_trace",
-    modes=(),
-    description="ALS batch engine with the trace-replay plumbing (replay "
-    "stays disabled while conservative cycles train the predictors)",
-)
-class OptimisticTraceCoEmulation(OptimisticBatchCoEmulation):
-    """ALS batch engine carrying the trace controller for observability.
-
-    Conservative cycles under ALS train the boundary predictors every cycle,
-    so replaying them from a template would skip exactly the bookkeeping the
-    scheme depends on; the controller detects this at construction and
-    records a single ``predictor_training`` bailout.  Throughput therefore
-    matches ``als_batch``; the value of this registration is the uniform
-    ``trace_replay`` counters in sweeps that mix engines.
-    """
-
-    def __init__(self, partition, acc_hbm=None, config=None, trace_paths=False) -> None:
-        super().__init__(partition, acc_hbm, config, trace_paths)
-        self.replay = PeriodicTraceController(self)

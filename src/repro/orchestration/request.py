@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..channel.faults import ChannelFaultConfig
 from ..core.coemulation import CoEmulationConfig, CoEmulationResult, DEFAULT_LOB_DEPTH
-from ..core.engine import create_engine, get_engine_info, resolve_engine_name
+from ..core.engine import create_engine, engine_for_mode, get_engine_info
 from ..core.modes import OperatingMode
 from ..core.topology import Topology
 from ..sim.time_model import DomainSpeed
@@ -158,11 +158,11 @@ class RunRequest:
         return OperatingMode(self.mode)
 
     def engine_name(self) -> str:
-        """The registry name this request resolves to, config flags included
-        (``batch_stepping`` / ``trace_replay`` overrides promote the mode's
-        default engine to its batch/trace variant, as ``create_engine`` does).
-        """
-        return resolve_engine_name(self.build_config(), self.engine)
+        """The registry name this request resolves to: ``engine`` when set,
+        else the mode's default engine (as ``create_engine`` resolves it)."""
+        if self.engine is not None:
+            return self.engine
+        return engine_for_mode(self.operating_mode())
 
     def build_config(self) -> CoEmulationConfig:
         kwargs: Dict[str, Any] = {

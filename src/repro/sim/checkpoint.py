@@ -5,33 +5,29 @@ running ahead (the ``rb_store`` operation, state P-5 of the channel-wrapper
 state machine) and to restore it when a prediction error is detected
 (``rb_restore``, S-6).
 
-Checkpointing uses a *fast-copy protocol*: a component that sets
-``snapshot_copy_free = True`` (see
-:attr:`~repro.sim.component.ClockedComponent.snapshot_copy_free`) promises
-that every ``snapshot_state()`` payload is owned by the checkpoint -- built
-from freshly allocated containers, immutable values and frozen dataclasses --
-and that ``restore_state()`` treats the payload as read-only.  Such payloads
-are stored and restored by reference, with no ``copy.deepcopy`` anywhere on
-the path; this is what keeps ``rb_store`` off the engine's per-cycle hot
-path.  Components that do not opt in keep the legacy deep-copy semantics.
+Every component checkpoints through one protocol, the *checkpoint window*
+(see :meth:`~repro.sim.component.ClockedComponent.open_checkpoint_window`):
+``rb_store`` opens a window on each managed component and keeps the token it
+returns; ``rb_restore`` rewinds each window to its token, and a discarded
+checkpoint closes them.  The base class's window is the component's own
+snapshot, taken and restored by reference -- every ``snapshot_state()``
+payload is owned by the caller (fresh containers, immutable values, frozen
+dataclasses) and ``restore_state()`` treats it as read-only.  Components with
+large state journal their own mutations instead (Time-Warp style
+incremental state saving: a memory records each first write), so a store is
+O(1) on the host and a rollback costs O(state touched).
 
-On top of the fast-copy protocol the manager supports *incremental*
-checkpointing (Time-Warp style incremental state saving): components that
-implement the checkpoint-window protocol (see
-:attr:`~repro.sim.component.ClockedComponent.supports_checkpoint_window`)
-journal their own mutations between store and restore/discard, so ``rb_store``
-costs O(1) on the host and a rollback costs O(state touched) instead of
-O(total state).  The modelled store/restore *times* are unchanged -- they are
-charged from the rollback-variable count exactly as before; only the host
-mechanics become cheaper.
+The protocol needs exactly one outstanding checkpoint: the leader stores at
+the start of each transition and either discards or restores it before the
+next.  A second store while one is outstanding is a :class:`CheckpointError`.
 
 The manager also counts rollback variables and charges store/restore time to
-the wall-clock ledger through a :class:`StateCostModel`.
+the wall-clock ledger through a :class:`StateCostModel`; the modelled times
+depend only on the variable count, never on the host mechanics.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -85,21 +81,13 @@ SIMULATOR_STATE_COSTS = StateCostModel(
 class Checkpoint:
     """A stored state of a set of components at a particular target cycle.
 
-    Two flavours exist:
-
-    * *full* checkpoints hold a complete owned snapshot per component in
-      ``states`` (the legacy scheme);
-    * *incremental* checkpoints hold one opaque checkpoint-window token per
-      component in ``states`` (``incremental=True``) -- the components
-      themselves journal their mutations and can rewind to the window-open
-      state in O(state touched).
+    ``states`` holds one opaque checkpoint-window token per component name.
     """
 
     cycle: int
     states: dict = field(default_factory=dict)
     n_variables: int = 0
     label: str = ""
-    incremental: bool = False
 
     def __len__(self) -> int:
         return len(self.states)
@@ -116,7 +104,6 @@ class CheckpointStats:
     variables_restored: int = 0
     store_time: float = 0.0
     restore_time: float = 0.0
-    incremental_stores: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -127,17 +114,15 @@ class CheckpointStats:
             "variables_restored": self.variables_restored,
             "store_time": self.store_time,
             "restore_time": self.restore_time,
-            "incremental_stores": self.incremental_stores,
         }
 
 
 class CheckpointManager:
-    """Stores and restores snapshots of a group of components.
+    """Stores and restores the state of a group of components.
 
-    Only a single outstanding checkpoint is required by the protocol (the
-    leader stores at the start of each transition and either discards the
-    checkpoint on success or restores it on a misprediction), but a small
-    stack is supported for experimentation with nested speculation.
+    At most one checkpoint is outstanding at a time: the leader stores at the
+    start of each transition and either discards the checkpoint on success or
+    restores it on a misprediction.
     """
 
     def __init__(
@@ -145,42 +130,23 @@ class CheckpointManager:
         components: Iterable[ClockedComponent],
         cost_model: StateCostModel,
         rollback_variable_budget: Optional[int] = None,
-        incremental: Optional[bool] = None,
     ) -> None:
         self.components = list(components)
         self.cost_model = cost_model
         self.rollback_variable_budget = rollback_variable_budget
         self.stats = CheckpointStats()
-        self._stack: list[Checkpoint] = []
-        # Incremental (checkpoint-window) protocol: usable when every managed
-        # component either journals its own mutations or follows the
-        # fast-copy ownership contract (whose full-snapshot window fallback
-        # is safe by reference).  ``incremental=None`` auto-enables it.
-        can_do_incremental = all(
-            component.supports_checkpoint_window
-            or getattr(component, "snapshot_copy_free", False)
-            for component in self.components
-        )
-        if incremental is None:
-            self.incremental = can_do_incremental
-        else:
-            if incremental and not can_do_incremental:
-                raise CheckpointError(
-                    "incremental checkpointing requires every component to be "
-                    "checkpoint-window capable or snapshot_copy_free"
-                )
-            self.incremental = incremental
+        self._outstanding: Optional[Checkpoint] = None
         # Cached actual variable count (see variable_count()).
         self._variable_count_cache: Optional[int] = None
 
     # -- introspection -----------------------------------------------------
     @property
     def depth(self) -> int:
-        return len(self._stack)
+        return 0 if self._outstanding is None else 1
 
     @property
     def has_checkpoint(self) -> bool:
-        return bool(self._stack)
+        return self._outstanding is not None
 
     @property
     def snapshot_safe(self) -> bool:
@@ -188,14 +154,13 @@ class CheckpointManager:
 
         A durable snapshot (:mod:`repro.core.snapshot`) pickles the live
         component graph; with a rollback checkpoint outstanding that graph
-        includes an open speculation -- incremental checkpoint windows whose
-        journals are still growing, or full snapshots aliasing live state --
-        and a resume from such a pickle would not replay bit-identically.
-        The engine run loops only offer safe points between transitions, so
-        this is ``True`` exactly when the protocol says it must be; the
-        snapshot writer asserts it as a belt-and-braces guard.
+        includes an open speculation -- checkpoint windows whose journals
+        are still growing -- and a resume from such a pickle would not replay
+        bit-identically.  The engine run loops only offer safe points between
+        transitions, so this is ``True`` exactly when the protocol says it
+        must be; the snapshot writer asserts it as a belt-and-braces guard.
         """
-        return not self._stack
+        return self._outstanding is None
 
     def variable_count(self) -> int:
         """Number of rollback variables a store captures.
@@ -228,92 +193,61 @@ class CheckpointManager:
 
     # -- operations --------------------------------------------------------
     def store(self, cycle: int, label: str = "") -> Checkpoint:
-        """Capture the state of every managed component (``rb_store``).
-
-        With incremental checkpointing enabled (and no checkpoint already
-        outstanding) the components open *checkpoint windows* instead of
-        producing full snapshots: window-aware components merely start
-        journalling their mutations, turning the per-transition store cost
-        from O(total state) into O(1) plus O(state touched) on rollback.
-
-        Nested stores (experimental speculation stacks) and legacy
-        components use the full-snapshot scheme: fast-copy components hand
-        over an owned payload stored by reference; others get the defensive
-        ``deepcopy`` they were written against.
+        """Open a checkpoint window on every managed component (``rb_store``).
 
         The *modelled* store cost (``variable_count`` x the cost model) is
-        identical for both schemes -- the paper's rb_store operation captures
-        the same rollback variables either way; only the host-side mechanics
-        differ.
+        the paper's rb_store of the rollback variables; how cheaply the host
+        captures them does not enter it.
         """
-        if self.incremental and not self._stack:
-            states = {c.name: c.open_checkpoint_window() for c in self.components}
-            checkpoint = Checkpoint(
-                cycle=cycle,
-                states=states,
-                n_variables=self.variable_count(),
-                label=label,
-                incremental=True,
+        if self._outstanding is not None:
+            raise CheckpointError(
+                "store requested while a checkpoint is outstanding; restore or "
+                "discard it first"
             )
-            self.stats.incremental_stores += 1
-        else:
-            states = {}
-            for c in self.components:
-                payload = c.snapshot_state()
-                if not getattr(c, "snapshot_copy_free", False):
-                    payload = copy.deepcopy(payload)
-                states[c.name] = payload
-            checkpoint = Checkpoint(
-                cycle=cycle, states=states, n_variables=self.variable_count(), label=label
-            )
-        self._stack.append(checkpoint)
+        checkpoint = Checkpoint(
+            cycle=cycle,
+            states={c.name: c.open_checkpoint_window() for c in self.components},
+            n_variables=self.variable_count(),
+            label=label,
+        )
+        self._outstanding = checkpoint
         self.stats.stores += 1
         self.stats.variables_stored += checkpoint.n_variables
         self.stats.store_time += self.cost_model.store_time(checkpoint.n_variables)
         return checkpoint
 
+    def _take(self, operation: str) -> Checkpoint:
+        checkpoint = self._outstanding
+        if checkpoint is None:
+            raise CheckpointError(f"{operation} requested but no checkpoint is stored")
+        self._outstanding = None
+        return checkpoint
+
     def restore(self) -> Checkpoint:
-        """Restore the most recent checkpoint (``rb_restore``) and pop it."""
-        if not self._stack:
-            raise CheckpointError("restore requested but no checkpoint is stored")
-        checkpoint = self._stack.pop()
-        if checkpoint.incremental:
-            for component in self.components:
-                component.rewind_checkpoint_window(checkpoint.states[component.name])
-        else:
-            for component in self.components:
-                if component.name in checkpoint.states:
-                    payload = checkpoint.states[component.name]
-                    if not getattr(component, "snapshot_copy_free", False):
-                        payload = copy.deepcopy(payload)
-                    component.restore_state(payload)
+        """Rewind every component to the outstanding checkpoint (``rb_restore``)."""
+        checkpoint = self._take("restore")
+        for component in self.components:
+            component.rewind_checkpoint_window(checkpoint.states[component.name])
         self.stats.restores += 1
         self.stats.variables_restored += checkpoint.n_variables
         self.stats.restore_time += self.cost_model.restore_time(checkpoint.n_variables)
         return checkpoint
 
     def discard(self) -> Checkpoint:
-        """Drop the most recent checkpoint without restoring it."""
-        if not self._stack:
-            raise CheckpointError("discard requested but no checkpoint is stored")
-        checkpoint = self._stack.pop()
-        if checkpoint.incremental:
-            for component in self.components:
-                component.close_checkpoint_window(checkpoint.states[component.name])
+        """Drop the outstanding checkpoint, keeping the current state."""
+        checkpoint = self._take("discard")
+        for component in self.components:
+            component.close_checkpoint_window(checkpoint.states[component.name])
         self.stats.discarded += 1
         return checkpoint
 
     def clear(self) -> None:
-        """Drop every outstanding checkpoint without restoring.
-
-        Incremental checkpoints close their windows (current state kept) so
-        the components stop journalling.
-        """
-        while self._stack:
-            checkpoint = self._stack.pop()
-            if checkpoint.incremental:
-                for component in self.components:
-                    component.close_checkpoint_window(checkpoint.states[component.name])
+        """Drop the outstanding checkpoint, if any, keeping the current state
+        (the components stop journalling)."""
+        checkpoint, self._outstanding = self._outstanding, None
+        if checkpoint is not None:
+            for component in self.components:
+                component.close_checkpoint_window(checkpoint.states[component.name])
 
     def last_store_time(self) -> float:
         """Time charged for a single store at the current variable count."""

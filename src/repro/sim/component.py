@@ -8,8 +8,6 @@ checkpointing (rollback support).
 
 from __future__ import annotations
 
-import copy as _copy
-import warnings
 from abc import ABC, abstractmethod
 from array import array
 from enum import Enum
@@ -57,27 +55,6 @@ class Domain(str):
         """The id as a plain string (enum-era spelling, kept for callers)."""
         return str(self)
 
-    @property
-    def other(self) -> "Domain":
-        """Deprecated: the peer of the canonical two-domain pair.
-
-        Only defined for :attr:`SIMULATOR` / :attr:`ACCELERATOR`; topologies
-        with more (or fewer) domains have no unique "other" side.  Enumerate
-        peers through :class:`repro.core.topology.Topology` instead.
-        """
-        warnings.warn(
-            "Domain.other is deprecated: it is only defined for the canonical "
-            "simulator/accelerator pair. Enumerate peer domains through "
-            "repro.core.topology.Topology instead.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self is Domain.SIMULATOR:
-            return Domain.ACCELERATOR
-        if self is Domain.ACCELERATOR:
-            return Domain.SIMULATOR
-        raise ValueError(f"Domain.other is undefined for non-canonical domain {self.value!r}")
-
     def __repr__(self) -> str:
         return f"Domain({str(self)!r})"
 
@@ -99,18 +76,13 @@ class ClockedComponent(ABC):
     Subclasses implement :meth:`evaluate`, which reads committed signal
     values / input structures and produces outputs for the current cycle.
     Components that participate in rollback additionally implement
-    :meth:`snapshot_state` and :meth:`restore_state`.
+    :meth:`snapshot_state` and :meth:`restore_state`, under one ownership
+    contract: (a) every :meth:`snapshot_state` payload is *owned* by the
+    caller -- freshly allocated containers, immutable scalars and frozen
+    dataclasses only, never aliases of live mutable state -- and (b)
+    :meth:`restore_state` treats the payload as read-only, copying anything
+    it intends to mutate.  Checkpoints therefore keep payloads by reference.
     """
-
-    #: Fast-copy snapshot protocol opt-in.  A component may set this to True
-    #: to promise that (a) every :meth:`snapshot_state` payload is *owned* by
-    #: the caller -- freshly allocated containers, immutable scalars and
-    #: frozen dataclasses only, never aliases of live mutable state -- and
-    #: (b) :meth:`restore_state` treats the payload as read-only, copying
-    #: anything it intends to mutate.  The checkpoint manager then stores and
-    #: restores the payload by reference instead of deep-copying it, which
-    #: removes ``copy.deepcopy`` from the rollback hot path entirely.
-    snapshot_copy_free: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -155,25 +127,19 @@ class ClockedComponent(ABC):
         """
         return _count_scalars(self.snapshot_state())
 
-    # -- incremental checkpointing (checkpoint windows) ----------------------
-    #: Opt-in flag for the *checkpoint window* protocol (Time-Warp style
-    #: incremental state saving).  A window-aware component journals its
-    #: mutations between :meth:`open_checkpoint_window` and the matching
-    #: rewind/close, so storing a checkpoint is O(1) and rolling back is
-    #: O(state touched) instead of O(total state).  The default
-    #: implementations below fall back to a full snapshot, which makes every
-    #: component window-capable; set the flag to True only once the component
-    #: implements a genuinely incremental journal (the flag is what the
-    #: checkpoint manager reports in its stats).
-    supports_checkpoint_window: bool = False
-
+    # -- checkpoint windows (rb_store / rb_restore) --------------------------
+    # Every checkpoint goes through a window.  The defaults below keep the
+    # component's snapshot by reference; a component with large state
+    # overrides them to journal its own mutations instead (Time-Warp style
+    # incremental state saving), so storing is O(1) and rolling back is
+    # O(state touched) rather than O(total state).
     def open_checkpoint_window(self) -> Any:
         """Begin a checkpoint window; returns an opaque token.
 
         The token, passed back to :meth:`rewind_checkpoint_window` or
         :meth:`close_checkpoint_window`, must let the component restore
-        exactly the state it had when the window was opened.  The fallback
-        implementation snapshots the full state (no journalling).
+        exactly the state it had when the window was opened.  The default
+        is the component's full snapshot (no journalling).
         """
         return self.snapshot_state()
 
@@ -184,7 +150,7 @@ class ClockedComponent(ABC):
 
     def close_checkpoint_window(self, token: Any) -> None:
         """Close the window keeping the current state (checkpoint discarded
-        after a successful transition).  Fallback: nothing to clean up."""
+        after a successful transition).  Default: nothing to clean up."""
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -249,13 +215,6 @@ class ComponentGroup(ClockedComponent):
         super().__init__(name)
         self.components: list[ClockedComponent] = list(components or [])
 
-    @property
-    def snapshot_copy_free(self) -> bool:  # type: ignore[override]
-        """A group is copy-free only when every member is."""
-        return all(
-            getattr(component, "snapshot_copy_free", False) for component in self.components
-        )
-
     def add(self, component: ClockedComponent) -> ClockedComponent:
         self.components.append(component)
         return component
@@ -280,38 +239,19 @@ class ComponentGroup(ClockedComponent):
     def rollback_variable_count(self) -> int:
         return sum(component.rollback_variable_count() for component in self.components)
 
-    # -- incremental checkpointing: delegate windows to the members ----------
-    @property
-    def supports_checkpoint_window(self) -> bool:  # type: ignore[override]
-        """A group journals incrementally when at least one member does (the
-        rest fall back to their full snapshot inside the group token)."""
-        return any(component.supports_checkpoint_window for component in self.components)
-
+    # -- checkpoint windows: delegate to the members ---------------------------
     def open_checkpoint_window(self) -> dict:
-        token = {}
-        for component in self.components:
-            if component.supports_checkpoint_window:
-                token[component.name] = component.open_checkpoint_window()
-            else:
-                payload = component.snapshot_state()
-                if not component.snapshot_copy_free:
-                    payload = _copy.deepcopy(payload)
-                token[component.name] = payload
-        return token
+        return {
+            component.name: component.open_checkpoint_window()
+            for component in self.components
+        }
 
     def rewind_checkpoint_window(self, token: dict) -> None:
         for component in self.components:
-            if component.name not in token:
-                continue
-            if component.supports_checkpoint_window:
+            if component.name in token:
                 component.rewind_checkpoint_window(token[component.name])
-            else:
-                payload = token[component.name]
-                if not component.snapshot_copy_free:
-                    payload = _copy.deepcopy(payload)
-                component.restore_state(payload)
 
     def close_checkpoint_window(self, token: dict) -> None:
         for component in self.components:
-            if component.supports_checkpoint_window and component.name in token:
+            if component.name in token:
                 component.close_checkpoint_window(token[component.name])

@@ -74,8 +74,8 @@ class Signal(Generic[T]):
         """An immutable ``(current, next, driven)`` payload.
 
         Signal values are expected to be immutable scalars (ints, bools,
-        enums), so the tuple is safe to store by reference -- this is what
-        lets checkpoint stores skip ``deepcopy`` (fast-copy protocol).
+        enums), so the tuple is owned by the caller and checkpoints keep it
+        by reference (see :class:`~repro.sim.component.ClockedComponent`).
         """
         return (self._current, self._next, self._driven)
 
@@ -134,7 +134,7 @@ class SignalBundle:
             sig.reset()
 
     def snapshot(self) -> dict:
-        """A fresh dict of per-signal tuples (owned payload, fast-copy safe)."""
+        """A fresh dict of per-signal tuples (an owned payload)."""
         return {name: sig.snapshot() for name, sig in self._signals.items()}
 
     def restore(self, state: dict) -> None:

@@ -45,9 +45,9 @@ def test_engine_run_holds_channel_queues_empty():
     """Proxy for the 1M-cycle acceptance run: after a long optimistic run in
     the engines' default configuration the channel retains no messages, so
     queue length is trivially bounded by the LOB depth."""
-    sim_hbm, acc_hbm, _ = als_streaming_soc(n_bursts=600).build_split()
+    partition = als_streaming_soc(n_bursts=600).build_partition()
     config = CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=20_000)
-    engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config)
+    engine = OptimisticCoEmulation(partition, config)
     result = engine.run()
     assert result.committed_cycles == 20_000
     for direction in ChannelDirection:

@@ -11,12 +11,13 @@ from repro.core import (
     conventional_performance,
 )
 from repro.core.analytical import AnalyticalConfig
+from repro.sim.component import Domain
 
 
 def run_conventional(spec, cycles=200, **kwargs):
     sim_hbm, acc_hbm, masters = spec.build_split()
     config = CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=cycles, **kwargs)
-    engine = ConventionalCoEmulation(sim_hbm, acc_hbm, config)
+    engine = ConventionalCoEmulation({Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}, config)
     result = engine.run()
     return result, sim_hbm, acc_hbm, masters
 
@@ -90,8 +91,9 @@ def test_summary_row_is_flat_and_complete(als_spec):
 
 def test_engine_rejects_swapped_half_bus_arguments(als_spec):
     sim_hbm, acc_hbm, _ = als_spec.build_split()
-    with pytest.raises(ValueError):
-        ConventionalCoEmulation(acc_hbm, sim_hbm, CoEmulationConfig(total_cycles=10))
+    swapped = {Domain.SIMULATOR: acc_hbm, Domain.ACCELERATOR: sim_hbm}
+    with pytest.raises(ValueError, match="holds a half bus built for domain"):
+        ConventionalCoEmulation(swapped, CoEmulationConfig(total_cycles=10))
 
 
 def test_config_validation():

@@ -17,13 +17,15 @@ from repro.core import (
     engine_for_mode,
 )
 from repro.core.analytical import AnalyticalConfig, conventional_performance, estimate_performance
+from repro.core.coemulation import PERIODIC_REPLAY, QUIESCENCE_SKIP
 from repro.core.engine import register_engine
+from repro.orchestration.request import RunRequest
 from repro.workloads import als_streaming_soc
 
 
 @pytest.fixture()
-def split():
-    return als_streaming_soc(n_bursts=4).build_split()[:2]
+def partition():
+    return als_streaming_soc(n_bursts=4).build_partition()
 
 
 def test_builtin_engines_are_registered():
@@ -46,41 +48,80 @@ def test_every_operating_mode_resolves_to_an_engine():
         assert engine_for_mode(mode) == "optimistic"
 
 
-def test_create_engine_dispatches_on_mode(split):
-    sim_hbm, acc_hbm = split
+#: Every mechanism preset: (name, mode, engine class, fast paths).
+PRESETS = [
+    ("conventional", "conservative", ConventionalCoEmulation, set()),
+    ("conventional_batch", "conservative", ConventionalCoEmulation, {QUIESCENCE_SKIP}),
+    (
+        "conventional_trace",
+        "conservative",
+        ConventionalCoEmulation,
+        {QUIESCENCE_SKIP, PERIODIC_REPLAY},
+    ),
+    ("optimistic", "als", OptimisticCoEmulation, set()),
+    ("als_batch", "als", OptimisticCoEmulation, {QUIESCENCE_SKIP}),
+    ("als_trace", "als", OptimisticCoEmulation, {QUIESCENCE_SKIP, PERIODIC_REPLAY}),
+]
+
+
+@pytest.mark.parametrize("name,mode,cls,fast_paths", PRESETS)
+def test_presets_map_to_mode_engine_and_fast_paths(partition, name, mode, cls, fast_paths):
+    info = available_engines()[name]
+    assert info.factory is cls
+    assert info.fast_paths == fast_paths
+    request = RunRequest(
+        scenario="als_streaming",
+        mode=mode,
+        engine=None if info.modes else name,
+    )
+    assert request.engine_name() == name
+    engine = create_engine(
+        CoEmulationConfig(mode=OperatingMode(mode), total_cycles=10),
+        partition=partition,
+        engine=name,
+    )
+    assert type(engine) is cls
+    assert engine.quiescence_skip == (QUIESCENCE_SKIP in fast_paths)
+    assert (engine.replay is not None) == (PERIODIC_REPLAY in fast_paths)
+
+
+def test_enable_fast_paths_rejects_unknown_names(partition):
+    engine = ConventionalCoEmulation(
+        partition, CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=10)
+    )
+    with pytest.raises(ValueError, match="unknown fast path"):
+        engine.enable_fast_paths({"warp_drive"})
+
+
+def test_create_engine_dispatches_on_mode(partition):
     conservative = create_engine(
         CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=10),
-        sim_hbm,
-        acc_hbm,
+        partition=partition,
     )
     assert isinstance(conservative, ConventionalCoEmulation)
-    sim_hbm2, acc_hbm2 = als_streaming_soc(n_bursts=4).build_split()[:2]
     optimistic = create_engine(
-        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10), sim_hbm2, acc_hbm2
+        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10),
+        partition=als_streaming_soc(n_bursts=4).build_partition(),
     )
     assert isinstance(optimistic, OptimisticCoEmulation)
     assert isinstance(conservative, Engine)
     assert isinstance(optimistic, Engine)
 
 
-def test_create_engine_explicit_override(split):
-    sim_hbm, acc_hbm = split
+def test_create_engine_explicit_override(partition):
     engine = create_engine(
         CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10),
-        sim_hbm,
-        acc_hbm,
+        partition=partition,
         engine="analytical",
     )
     assert isinstance(engine, AnalyticalPseudoEngine)
 
 
-def test_create_engine_unknown_engine_raises(split):
-    sim_hbm, acc_hbm = split
+def test_create_engine_unknown_engine_raises(partition):
     with pytest.raises(EngineRegistryError, match="unknown engine"):
         create_engine(
             CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10),
-            sim_hbm,
-            acc_hbm,
+            partition=partition,
             engine="definitely-not-registered",
         )
 
@@ -89,50 +130,16 @@ def test_batch_engines_are_registered():
     engines = available_engines()
     assert {"conventional_batch", "als_batch"} <= set(engines)
     # explicit opt-in only: they claim no modes, selection goes through
-    # ``engine=`` or the ``batch_stepping`` config toggle
+    # ``engine=``
     assert engines["conventional_batch"].modes == ()
     assert engines["als_batch"].modes == ()
 
 
-def test_batch_stepping_toggle_resolves_to_batch_engines(split):
-    from repro.core.batch import ConventionalBatchCoEmulation, OptimisticBatchCoEmulation
-
-    sim_hbm, acc_hbm = split
-    conservative = create_engine(
-        CoEmulationConfig(
-            mode=OperatingMode.CONSERVATIVE, total_cycles=10, batch_stepping=True
-        ),
-        sim_hbm,
-        acc_hbm,
-    )
-    assert isinstance(conservative, ConventionalBatchCoEmulation)
-    sim_hbm2, acc_hbm2 = als_streaming_soc(n_bursts=4).build_split()[:2]
-    optimistic = create_engine(
-        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10, batch_stepping=True),
-        sim_hbm2,
-        acc_hbm2,
-    )
-    assert isinstance(optimistic, OptimisticBatchCoEmulation)
-
-
-def test_explicit_engine_override_wins_over_batch_stepping(split):
-    sim_hbm, acc_hbm = split
-    engine = create_engine(
-        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10, batch_stepping=True),
-        sim_hbm,
-        acc_hbm,
-        engine="optimistic",
-    )
-    assert type(engine) is OptimisticCoEmulation
-
-
-def test_unknown_engine_error_suggests_nearest_name(split):
-    sim_hbm, acc_hbm = split
+def test_unknown_engine_error_suggests_nearest_name(partition):
     with pytest.raises(EngineRegistryError, match="did you mean 'als_batch'"):
         create_engine(
             CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10),
-            sim_hbm,
-            acc_hbm,
+            partition=partition,
             engine="als_bach",
         )
 

@@ -17,6 +17,7 @@ from repro.core import (
     OperatingMode,
     OptimisticCoEmulation,
 )
+from repro.sim.component import Domain
 from repro.sim.kernel import CycleKernel
 from repro.workloads import (
     als_streaming_soc,
@@ -38,11 +39,12 @@ def reference_recorder(spec, cycles):
 
 def split_recorders(spec, mode, cycles, **kwargs):
     sim_hbm, acc_hbm, _ = spec.build_split()
+    partition = {Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}
     config = CoEmulationConfig(mode=mode, total_cycles=cycles, **kwargs)
     if mode is OperatingMode.CONSERVATIVE:
-        engine = ConventionalCoEmulation(sim_hbm, acc_hbm, config)
+        engine = ConventionalCoEmulation(partition, config)
     else:
-        engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config)
+        engine = OptimisticCoEmulation(partition, config)
     result = engine.run()
     assert result.monitors_ok
     return sim_hbm.recorder, acc_hbm.recorder
@@ -133,7 +135,7 @@ def test_memory_contents_match_reference_after_co_emulation():
     split_spec = als_streaming_soc(n_bursts=10)
     sim_hbm, acc_hbm, _ = split_spec.build_split()
     config = CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=cycles, forced_accuracy=0.85)
-    OptimisticCoEmulation(sim_hbm, acc_hbm, config).run()
+    OptimisticCoEmulation({Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}, config).run()
 
     for slave_id, ref_slave in ref_bus.slaves.items():
         if not hasattr(ref_slave, "read_word"):

@@ -38,9 +38,9 @@ def reference_words(packetizer, entries) -> int:
 
 
 def build_engine():
-    sim_hbm, acc_hbm, _ = als_streaming_soc(n_bursts=4).build_split()
+    partition = als_streaming_soc(n_bursts=4).build_partition()
     config = CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=50)
-    return OptimisticCoEmulation(sim_hbm, acc_hbm, config)
+    return OptimisticCoEmulation(partition, config)
 
 
 def all_entry_shapes():

@@ -25,6 +25,7 @@ from repro.core import (
     OperatingMode,
     OptimisticCoEmulation,
 )
+from repro.sim.component import Domain
 from repro.workloads import (
     als_streaming_soc,
     mixed_soc,
@@ -60,11 +61,12 @@ def run_case(key: str):
             kwargs["lob_depth"] = int(value)
             cycles = 350
     sim_hbm, acc_hbm, _ = SPEC_FACTORIES[spec_name]().build_split()
+    partition = {Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}
     config = CoEmulationConfig(mode=MODES[mode_name], total_cycles=cycles, **kwargs)
     if config.mode is OperatingMode.CONSERVATIVE:
-        engine = ConventionalCoEmulation(sim_hbm, acc_hbm, config)
+        engine = ConventionalCoEmulation(partition, config)
     else:
-        engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config)
+        engine = OptimisticCoEmulation(partition, config)
     return engine.run()
 
 

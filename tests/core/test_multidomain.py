@@ -4,7 +4,7 @@ Covers the acceptance criteria of the topology refactor:
 
 * the canonical two-domain topology routed through ``build_partition`` /
   ``create_engine(partition=...)`` is byte-identical to the historical
-  ``build_split`` + positional-constructor path,
+  ``build_split`` pair handed over as an explicit partition,
 * the new multi-domain scenarios run under every relevant mode and stay
   functionally equivalent (the catalog equivalence test sweeps them too),
 * per-domain ledger buckets and utilisation metrics,
@@ -64,15 +64,16 @@ def result_digest(result) -> str:
 @pytest.mark.parametrize("scenario", ["als_streaming", "mixed"])
 def test_partition_path_is_byte_identical_to_legacy_split(scenario, mode):
     """Golden equivalence: the topology-aware partition path reproduces the
-    legacy two-positional path bit for bit, including an explicit canonical
+    legacy ``build_split`` pair bit for bit, including an explicit canonical
     topology on the config."""
     spec_a = build_scenario(scenario)
     sim_hbm, acc_hbm, _ = spec_a.build_split()
+    split = {Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}
     config = CoEmulationConfig(mode=mode, total_cycles=300)
     if mode is OperatingMode.CONSERVATIVE:
-        legacy = ConventionalCoEmulation(sim_hbm, acc_hbm, config).run()
+        legacy = ConventionalCoEmulation(split, config).run()
     else:
-        legacy = OptimisticCoEmulation(sim_hbm, acc_hbm, config).run()
+        legacy = OptimisticCoEmulation(split, config).run()
 
     spec_b = build_scenario(scenario)
     explicit = CoEmulationConfig(

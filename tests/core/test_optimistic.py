@@ -18,23 +18,21 @@ from repro.workloads import single_master_soc
 def run_optimistic(spec, mode=OperatingMode.ALS, cycles=300, trace=False, **kwargs):
     sim_hbm, acc_hbm, masters = spec.build_split()
     config = CoEmulationConfig(mode=mode, total_cycles=cycles, **kwargs)
-    engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config, trace_paths=trace)
+    engine = OptimisticCoEmulation({Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}, config, trace_paths=trace)
     result = engine.run()
     return result, engine, masters
 
 
 def run_conventional(spec, cycles=300, **kwargs):
-    sim_hbm, acc_hbm, _ = spec.build_split()
     config = CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=cycles, **kwargs)
-    return ConventionalCoEmulation(sim_hbm, acc_hbm, config).run()
+    return ConventionalCoEmulation(spec.build_partition(), config).run()
 
 
 class TestAlsBasics:
     def test_conservative_mode_is_rejected(self, als_spec):
-        sim_hbm, acc_hbm, _ = als_spec.build_split()
         with pytest.raises(ValueError):
             OptimisticCoEmulation(
-                sim_hbm, acc_hbm, CoEmulationConfig(mode=OperatingMode.CONSERVATIVE)
+                als_spec.build_partition(), CoEmulationConfig(mode=OperatingMode.CONSERVATIVE)
             )
 
     def test_runs_requested_number_of_cycles(self, als_spec):

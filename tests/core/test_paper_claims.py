@@ -169,18 +169,16 @@ class TestMechanismReproducesTrends:
     def mechanism_results(self):
         results = {}
         for accuracy in (1.0, 0.9, 0.5):
-            spec = als_streaming_soc(n_bursts=10)
-            sim_hbm, acc_hbm, _ = spec.build_split()
+            partition = als_streaming_soc(n_bursts=10).build_partition()
             config = CoEmulationConfig(
                 mode=OperatingMode.ALS,
                 total_cycles=400,
                 forced_accuracy=None if accuracy == 1.0 else accuracy,
             )
-            results[accuracy] = OptimisticCoEmulation(sim_hbm, acc_hbm, config).run()
-        spec = als_streaming_soc(n_bursts=10)
-        sim_hbm, acc_hbm, _ = spec.build_split()
+            results[accuracy] = OptimisticCoEmulation(partition, config).run()
         results["conventional"] = ConventionalCoEmulation(
-            sim_hbm, acc_hbm, CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=400)
+            als_streaming_soc(n_bursts=10).build_partition(),
+            CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=400),
         ).run()
         return results
 

@@ -15,15 +15,13 @@ from repro.workloads import als_streaming_soc
 
 @pytest.fixture(scope="module")
 def als_results():
-    spec = als_streaming_soc(n_bursts=8)
-    sim_hbm, acc_hbm, _ = spec.build_split()
     optimistic = OptimisticCoEmulation(
-        sim_hbm, acc_hbm, CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=300)
+        als_streaming_soc(n_bursts=8).build_partition(),
+        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=300),
     ).run()
-    spec2 = als_streaming_soc(n_bursts=8)
-    sim2, acc2, _ = spec2.build_split()
     conventional = ConventionalCoEmulation(
-        sim2, acc2, CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=300)
+        als_streaming_soc(n_bursts=8).build_partition(),
+        CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=300),
     ).run()
     return optimistic, conventional
 

@@ -200,7 +200,6 @@ RESUME_POINTS = [
             mode="conservative",
             cycles=200,
             engine="conventional_trace",
-            config_overrides={"trace_replay": True},
         ),
         80,
         id="trace-engine",

@@ -1,7 +1,7 @@
-"""Equivalence and behaviour tests for the periodic trace-replay engines.
+"""Equivalence and behaviour tests for the periodic trace-replay presets.
 
-The trace engines (``conventional_trace`` / ``als_trace``) claim the same
-contract as the batch kernels: *bit-identity* with their scalar twins on
+The trace presets (``conventional_trace`` / ``als_trace``) claim the same
+contract as the batch presets: *bit-identity* with their scalar twins on
 every digest field -- beat streams, statistics, per-cycle modelled times
 down to the last float ulp, channel counters -- while fast-forwarding
 periodic busy loops.  These tests sweep every catalog scenario (ideal and
@@ -13,14 +13,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CoEmulationConfig, OperatingMode, create_engine
-from repro.core.trace import (
-    MIN_PERIOD,
-    PERIOD_CAP,
-    ConventionalTraceCoEmulation,
-    OptimisticTraceCoEmulation,
+from repro.core import (
+    CoEmulationConfig,
+    ConventionalCoEmulation,
+    OperatingMode,
+    OptimisticCoEmulation,
+    create_engine,
 )
+from repro.core.trace import MIN_PERIOD, PERIOD_CAP, PeriodicTraceController
 from repro.workloads.catalog import build_scenario, scenario_names
+
+
+def trace_preset(mode) -> str:
+    return "conventional_trace" if mode is OperatingMode.CONSERVATIVE else "als_trace"
 
 
 def full_digest(result) -> str:
@@ -44,11 +49,10 @@ def full_digest(result) -> str:
 
 def run_scenario(name, mode, trace_replay, total_cycles=300, **config_kwargs):
     spec = build_scenario(name)
-    config = CoEmulationConfig(
-        mode=mode, total_cycles=total_cycles, trace_replay=trace_replay, **config_kwargs
-    )
+    config = CoEmulationConfig(mode=mode, total_cycles=total_cycles, **config_kwargs)
     config, partition = spec.prepare_run(config)
-    return create_engine(config, partition=partition).run()
+    engine = trace_preset(mode) if trace_replay else None
+    return create_engine(config, partition=partition, engine=engine).run()
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -64,11 +68,9 @@ def test_trace_engines_are_bit_identical_on_every_scenario(name, mode):
 def test_replay_fires_on_dense_streaming():
     """The headline case: steady streaming bursts replay almost entirely."""
     spec = build_scenario("als_streaming", n_bursts=100)
-    config = CoEmulationConfig(
-        mode=OperatingMode.CONSERVATIVE, total_cycles=600, trace_replay=True
-    )
+    config = CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=600)
     config, partition = spec.prepare_run(config)
-    result = create_engine(config, partition=partition).run()
+    result = create_engine(config, partition=partition, engine="conventional_trace").run()
     stats = result.trace_replay
     assert stats["enabled"]
     assert stats["verified_periods"] >= 1
@@ -101,42 +103,27 @@ def test_envelope_refusals_are_structured(name, reason):
 
 def test_als_trace_engine_disables_replay_but_stays_bit_identical():
     """Optimistic schemes train predictors during conservative cycles; the
-    ALS trace engine reports the refusal instead of silently diverging."""
+    ALS trace preset reports the refusal instead of silently diverging."""
     result = run_scenario("als_streaming", OperatingMode.ALS, True)
     stats = result.trace_replay
     assert not stats["enabled"]
     assert stats["bailouts"] == {"predictor_training": 1}
 
 
-def test_config_flag_resolves_to_trace_engines():
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(
-        mode=OperatingMode.CONSERVATIVE, total_cycles=10, trace_replay=True
-    )
-    config, partition = spec.prepare_run(config)
-    engine = create_engine(config, partition=partition)
-    assert isinstance(engine, ConventionalTraceCoEmulation)
-
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10, trace_replay=True)
-    config, partition = spec.prepare_run(config)
-    engine = create_engine(config, partition=partition)
-    assert isinstance(engine, OptimisticTraceCoEmulation)
-
-
-def test_trace_flag_wins_over_batch_stepping():
-    """trace_replay implies the batch run loop; the trace engine extends it."""
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(
-        mode=OperatingMode.CONSERVATIVE,
-        total_cycles=10,
-        batch_stepping=True,
-        trace_replay=True,
-    )
-    config, partition = spec.prepare_run(config)
-    assert isinstance(
-        create_engine(config, partition=partition), ConventionalTraceCoEmulation
-    )
+def test_trace_presets_build_mode_engines_with_replay():
+    """A trace preset is its mode's engine class with the quiescence skip
+    and the periodic trace controller switched on."""
+    for mode, cls in (
+        (OperatingMode.CONSERVATIVE, ConventionalCoEmulation),
+        (OperatingMode.ALS, OptimisticCoEmulation),
+    ):
+        spec = build_scenario("als_streaming")
+        config = CoEmulationConfig(mode=mode, total_cycles=10)
+        config, partition = spec.prepare_run(config)
+        engine = create_engine(config, partition=partition, engine=trace_preset(mode))
+        assert type(engine) is cls
+        assert engine.quiescence_skip
+        assert isinstance(engine.replay, PeriodicTraceController)
 
 
 def test_explicit_engine_name_is_registered():

@@ -122,7 +122,6 @@ def test_request_id_matches_the_reference():
             scenario="single_master",
             engine="als_trace",
             scenario_params={"seed": 5},
-            config_overrides={"trace_replay": True},
             topology=Topology.canonical_pair().as_dict(),
             channel_faults=_FAULTS,
             label="everything",

@@ -42,9 +42,13 @@ def full_digest(result) -> str:
 
 
 def run_spec(spec, batch_stepping, **config_kwargs):
-    config = CoEmulationConfig(batch_stepping=batch_stepping, **config_kwargs)
+    config = CoEmulationConfig(**config_kwargs)
     config, partition = spec.prepare_run(config)
-    return create_engine(config, partition=partition).run()
+    engine = None
+    if batch_stepping:
+        conservative = config.mode is OperatingMode.CONSERVATIVE
+        engine = "conventional_batch" if conservative else "als_batch"
+    return create_engine(config, partition=partition, engine=engine).run()
 
 
 def assert_batch_bit_identical(spec_factory, **config_kwargs):

@@ -1,11 +1,9 @@
-"""Checkpoint fast-copy protocol equivalence.
+"""Checkpoint ownership-contract equivalence.
 
-The snapshot-free checkpoint path stores component payloads by reference
-(no ``copy.deepcopy``).  These tests assert that for every component type in
-the library, store -> mutate -> restore round-trips identically under both
-semantics -- the legacy deep-copy path (forced by clearing the
-``snapshot_copy_free`` flag on the instance) and the fast-copy path --
-including nested checkpoint stacks, and that the engine's checkpoint hot
+Checkpoints keep component payloads by reference (no ``copy.deepcopy``).
+These tests assert that for every component type in the library, store ->
+mutate -> restore lands exactly on a deep-copied reference of the stored
+state, transition after transition, and that the engine's checkpoint hot
 path performs zero ``copy.deepcopy`` calls.
 """
 
@@ -13,7 +11,6 @@ from __future__ import annotations
 
 import copy
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,62 +66,45 @@ def build_system(seed: int):
     return bus, kernel
 
 
-def force_legacy(component):
-    """Force the legacy deep-copy semantics on one component instance."""
-    try:
-        component.snapshot_copy_free = False
-    except AttributeError:
-        # properties (e.g. ComponentGroup) cannot be overridden per instance
-        pytest.skip("component derives its protocol flag")
-    return component
-
-
 @given(warmup=st.integers(5, 60), extra=st.integers(1, 60), seed=st.integers(0, 999))
 @settings(max_examples=25, deadline=None)
-def test_fast_copy_and_deepcopy_semantics_round_trip_identically(warmup, extra, seed):
-    """Running the same workload through a fast-copy and a forced-deepcopy
-    manager must produce byte-identical restored states."""
-    results = []
-    for legacy in (False, True):
-        bus, kernel = build_system(seed)
-        if legacy:
-            force_legacy(bus)
-        manager = CheckpointManager([bus], cost_model=ZERO_COST)
-        kernel.run(warmup)
-        reference = copy.deepcopy(bus.snapshot_state())
-        manager.store(cycle=warmup)
-        kernel.run(extra)
-        manager.restore()
-        restored = bus.snapshot_state()
-        assert _states_equal(restored, reference), (
-            f"restore mismatch (legacy={legacy})"
-        )
-        results.append(restored)
-    assert _states_equal(results[0], results[1])
+def test_window_checkpoint_restores_the_deepcopy_reference(warmup, extra, seed):
+    """Checkpoints keep payloads by reference; store -> run -> restore must
+    land exactly on a deep copy of the state taken at store time."""
+    bus, kernel = build_system(seed)
+    manager = CheckpointManager([bus], cost_model=ZERO_COST)
+    kernel.run(warmup)
+    reference = copy.deepcopy(bus.snapshot_state())
+    manager.store(cycle=warmup)
+    kernel.run(extra)
+    manager.restore()
+    assert _states_equal(bus.snapshot_state(), reference)
 
 
 @given(
-    depths=st.lists(st.integers(1, 25), min_size=2, max_size=4),
+    spans=st.lists(st.tuples(st.integers(1, 25), st.booleans()), min_size=2, max_size=5),
     seed=st.integers(0, 999),
 )
 @settings(max_examples=15, deadline=None)
-def test_nested_checkpoint_stack_restores_in_lifo_order(depths, seed):
+def test_successive_checkpoints_each_restore_their_reference(spans, seed):
+    """Transition after transition (store, run, then restore or discard),
+    every restore lands on the deep-copy reference of its own store."""
     bus, kernel = build_system(seed)
     manager = CheckpointManager([bus], cost_model=ZERO_COST)
-    references = []
     cycle = 0
-    for extra in depths:
-        kernel.run(extra)
-        cycle += extra
-        references.append(copy.deepcopy(bus.snapshot_state()))
+    for extra, roll_back in spans:
+        reference = copy.deepcopy(bus.snapshot_state())
         manager.store(cycle=cycle)
-    kernel.run(7)
-    while references:
-        manager.restore()
-        assert _states_equal(bus.snapshot_state(), references.pop())
+        kernel.run(extra)
+        if roll_back:
+            manager.restore()
+            assert _states_equal(bus.snapshot_state(), reference)
+        else:
+            manager.discard()
+            cycle += extra
 
 
-def test_every_component_type_round_trips_under_both_semantics():
+def test_every_component_type_round_trips_against_a_deepcopy_reference():
     """Explicit (non-hypothesis) sweep over the individual component types."""
     components = {
         "master": lambda: TrafficMaster("m", 0, transactions=write_traffic(0, 4, 3)),
@@ -149,32 +129,27 @@ def test_every_component_type_round_trips_under_both_semantics():
         ),
     }
     for name, factory in components.items():
-        for legacy in (False, True):
-            component = factory()
-            if legacy:
-                component.snapshot_copy_free = False
-            manager = CheckpointManager([component], cost_model=ZERO_COST)
-            reference = copy.deepcopy(component.snapshot_state())
-            manager.store(cycle=0)
-            mutators[name](component)
-            manager.restore()
-            assert _states_equal(component.snapshot_state(), reference), (
-                f"{name} (legacy={legacy})"
-            )
+        component = factory()
+        manager = CheckpointManager([component], cost_model=ZERO_COST)
+        reference = copy.deepcopy(component.snapshot_state())
+        manager.store(cycle=0)
+        mutators[name](component)
+        manager.restore()
+        assert _states_equal(component.snapshot_state(), reference), name
 
 
 def test_engine_checkpoint_path_never_calls_deepcopy(monkeypatch):
-    """The acceptance criterion: zero ``copy.deepcopy`` anywhere in an
-    optimistic engine run (store and restore both exercised)."""
+    """Zero ``copy.deepcopy`` anywhere in an optimistic engine run (store
+    and restore both exercised)."""
 
     def boom(*args, **kwargs):  # pragma: no cover - failure path
         raise AssertionError("copy.deepcopy reached the engine hot path")
 
-    sim_hbm, acc_hbm, _ = als_streaming_soc(n_bursts=10).build_split()
+    partition = als_streaming_soc(n_bursts=10).build_partition()
     config = CoEmulationConfig(
         mode=OperatingMode.ALS, total_cycles=400, forced_accuracy=0.8
     )
-    engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config)
+    engine = OptimisticCoEmulation(partition, config)
     monkeypatch.setattr(copy, "deepcopy", boom)
     result = engine.run()
     assert result.committed_cycles == 400

@@ -109,6 +109,7 @@ def test_random_workloads_preserve_functional_equivalence(
         forced_accuracy=accuracy,
         forced_accuracy_seed=seed,
     )
-    result = OptimisticCoEmulation(sim_hbm, acc_hbm, config).run()
+    partition = {Domain.SIMULATOR: sim_hbm, Domain.ACCELERATOR: acc_hbm}
+    result = OptimisticCoEmulation(partition, config).run()
     assert result.monitors_ok
     assert traces_equivalent(bus.recorder, [sim_hbm.recorder, acc_hbm.recorder]) is None

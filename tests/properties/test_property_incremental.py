@@ -1,10 +1,11 @@
-"""Incremental (dirty-set) checkpointing equivalence.
+"""Checkpoint-window (dirty-set) checkpointing equivalence.
 
 The checkpoint-window protocol journals component mutations so ``rb_store``
-is O(1) and rollback is O(state touched).  These properties prove the
-incremental manager is *state-identical* to the legacy full-snapshot manager
-across random mutation / store / restore / discard sequences, at the
-component level and through a full rollback-heavy engine run.
+is O(1) and rollback is O(state touched).  These properties prove window
+checkpoints are *state-identical* to a deep-copied full-snapshot reference
+kept inside the tests, across random mutation / store / restore / discard
+sequences, at the component level and through a full rollback-heavy engine
+run.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from repro.ahb.signals import HBurst
 from repro.ahb.slave import FifoPeripheralSlave, MemorySlave
 from repro.ahb.transaction import BusTransaction
 from repro.core import CoEmulationConfig, OperatingMode, OptimisticCoEmulation
-from repro.sim.checkpoint import CheckpointManager, StateCostModel
+from repro.sim.checkpoint import CheckpointError, CheckpointManager, StateCostModel
 from repro.sim.kernel import CycleKernel
 from repro.workloads import als_streaming_soc
 
@@ -64,8 +66,30 @@ def build_system(seed: int):
     return bus, kernel
 
 
+class FullSnapshot:
+    """Reference checkpoint scheme for one component: a deep-copied full
+    snapshot per checkpoint, no journal.  Plugs into the manager in place of
+    the component's own window."""
+
+    def __init__(self, component) -> None:
+        self.component = component
+        self.name = component.name
+
+    def open_checkpoint_window(self):
+        return copy.deepcopy(self.component.snapshot_state())
+
+    def rewind_checkpoint_window(self, token) -> None:
+        self.component.restore_state(copy.deepcopy(token))
+
+    def close_checkpoint_window(self, token) -> None:
+        return None
+
+    def rollback_variable_count(self) -> int:
+        return self.component.rollback_variable_count()
+
+
 #: One random step of the driver: run some cycles, then store / restore /
-#: discard when the current checkpoint depth allows it.
+#: discard when the outstanding checkpoint allows it.
 _OPS = st.sampled_from(["run", "store", "restore", "discard"])
 
 
@@ -74,16 +98,15 @@ _OPS = st.sampled_from(["run", "store", "restore", "discard"])
     seed=st.integers(0, 999),
 )
 @settings(max_examples=30, deadline=None)
-def test_incremental_manager_is_state_identical_to_full_snapshots(ops, seed):
+def test_window_checkpoints_are_state_identical_to_full_snapshots(ops, seed):
     """Interleaved mutation / store / restore / discard sequences leave the
-    incrementally-checkpointed system in exactly the state the full-snapshot
-    system reaches."""
+    window-checkpointed system in exactly the state a deep-copied
+    full-snapshot reference reaches."""
     systems = []
-    for incremental in (True, False):
+    for reference in (False, True):
         bus, kernel = build_system(seed)
-        manager = CheckpointManager([bus], cost_model=ZERO_COST, incremental=incremental)
-        assert manager.incremental is incremental
-        systems.append((bus, kernel, manager))
+        managed = FullSnapshot(bus) if reference else bus
+        systems.append((bus, kernel, CheckpointManager([managed], cost_model=ZERO_COST)))
 
     cycle = 0
     for op, span in ops:
@@ -92,6 +115,11 @@ def test_incremental_manager_is_state_identical_to_full_snapshots(ops, seed):
             for _, kernel, _ in systems:
                 kernel.run(span)
         elif op == "store":
+            if systems[0][2].has_checkpoint:
+                for _, _, manager in systems:
+                    with pytest.raises(CheckpointError):
+                        manager.store(cycle=cycle)
+                continue
             for _, _, manager in systems:
                 manager.store(cycle=cycle)
         elif op == "restore":
@@ -107,16 +135,8 @@ def test_incremental_manager_is_state_identical_to_full_snapshots(ops, seed):
         states = [copy.deepcopy(bus.snapshot_state()) for bus, _, _ in systems]
         assert _states_equal(states[0], states[1]), f"diverged after {op}"
     # Identical stores/restores were accounted on both sides.
-    inc_stats, full_stats = systems[0][2].stats, systems[1][2].stats
-    assert inc_stats.stores == full_stats.stores
-    assert inc_stats.restores == full_stats.restores
-    assert inc_stats.variables_stored == full_stats.variables_stored
-    assert inc_stats.store_time == full_stats.store_time
-    # Depth-0 stores open windows; nested stores correctly fall back to full
-    # snapshots, so 1 <= incremental <= total whenever anything was stored.
-    if inc_stats.stores:
-        assert 1 <= inc_stats.incremental_stores <= inc_stats.stores
-    assert full_stats.incremental_stores == 0
+    window_stats, full_stats = systems[0][2].stats, systems[1][2].stats
+    assert window_stats.as_dict() == full_stats.as_dict()
 
 
 @given(seed=st.integers(0, 99), accuracy=st.sampled_from([0.7, 0.85, 0.95]))
@@ -124,19 +144,22 @@ def test_incremental_manager_is_state_identical_to_full_snapshots(ops, seed):
 def test_rollback_heavy_engine_run_is_bit_identical_under_both_schemes(seed, accuracy):
     """A full prediction-and-rollback engine run (stores, restores and
     discards on every transition) produces bit-identical results whether the
-    leader checkpoints incrementally (default) or with full snapshots."""
+    leader checkpoints through windows (the engine's scheme) or with
+    deep-copied full snapshots."""
     digests = []
-    for incremental in (True, False):
-        sim_hbm, acc_hbm, _ = als_streaming_soc(n_bursts=12).build_split()
+    for reference in (False, True):
+        partition = als_streaming_soc(n_bursts=12).build_partition()
         config = CoEmulationConfig(
             mode=OperatingMode.ALS,
             total_cycles=400,
             forced_accuracy=accuracy,
             forced_accuracy_seed=seed,
         )
-        engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config)
-        for host in engine.hosts.values():
-            host.checkpoints.incremental = incremental
+        engine = OptimisticCoEmulation(partition, config)
+        if reference:
+            for host in engine.hosts.values():
+                manager = host.checkpoints
+                manager.components = [FullSnapshot(c) for c in manager.components]
         result = engine.run()
         assert result.transitions["rollbacks"] > 0  # restores really happened
         payload = repr(
@@ -155,24 +178,21 @@ def test_rollback_heavy_engine_run_is_bit_identical_under_both_schemes(seed, acc
     assert digests[0] == digests[1]
 
 
-def test_memory_dirty_journal_survives_interleaved_full_restores():
-    """A nested (full-snapshot) checkpoint taken while an incremental window
-    is open must not corrupt the window: rewinding afterwards lands exactly
-    on the window-open state."""
+def test_nested_store_is_refused_and_leaves_the_window_intact():
+    """A second store while a window is open raises; the open window still
+    rewinds exactly to the window-open state."""
     memory = MemorySlave("mem", 0, BASE, 0x100)
     memory.load(BASE, [0x11, 0x22, 0x33])
-    manager = CheckpointManager([memory], cost_model=ZERO_COST, incremental=True)
+    manager = CheckpointManager([memory], cost_model=ZERO_COST)
     window_open = copy.deepcopy(memory.snapshot_state())
-    manager.store(cycle=0)  # incremental window
+    manager.store(cycle=0)
     memory.write_word(BASE, 0xAAAA)
-    manager.store(cycle=1)  # nested store -> full snapshot path
+    with pytest.raises(CheckpointError):
+        manager.store(cycle=1)
     memory.write_word(BASE + 4, 0xBBBB)
-    manager.restore()  # full restore back to cycle-1 state
-    assert memory.read_word(BASE) == 0xAAAA
-    assert memory.read_word(BASE + 4) == 0x22
-    memory.write_word(BASE + 8, 0xCCCC)
-    manager.restore()  # rewind the incremental window
+    manager.restore()
     assert _states_equal(memory.snapshot_state(), window_open)
+    assert manager.stats.stores == 1
 
 
 def test_variable_count_is_cached_and_invalidatable():

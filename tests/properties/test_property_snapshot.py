@@ -77,9 +77,6 @@ def test_snapshot_resume_bit_identical(
         accuracy=accuracy if mode == "als" else None,
         engine=engine_name,
         seed=seed,
-        config_overrides={"trace_replay": True}
-        if engine_name and engine_name.endswith("_trace")
-        else {},
     )
     baseline = _finish(request, build_request_engine(request))
 

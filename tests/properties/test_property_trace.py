@@ -1,6 +1,6 @@
 """Property-based equivalence: trace-replay engines vs their scalar twins.
 
-The periodic trace-replay engines (``conventional_trace`` / ``als_trace``)
+The periodic trace-replay presets (``conventional_trace`` / ``als_trace``)
 fast-forward verified steady-state periods through a cycle-pattern cache,
 but claim the same contract as the batch kernels: *bit-identity* with the
 scalar engines on every digest field -- beat streams, transition and
@@ -45,9 +45,13 @@ def full_digest(result) -> str:
 
 
 def run_spec(spec, trace_replay, **config_kwargs):
-    config = CoEmulationConfig(trace_replay=trace_replay, **config_kwargs)
+    config = CoEmulationConfig(**config_kwargs)
     config, partition = spec.prepare_run(config)
-    return create_engine(config, partition=partition).run()
+    engine = None
+    if trace_replay:
+        conservative = config.mode is OperatingMode.CONSERVATIVE
+        engine = "conventional_trace" if conservative else "als_trace"
+    return create_engine(config, partition=partition, engine=engine).run()
 
 
 def assert_trace_bit_identical(spec_factory, **config_kwargs):

@@ -53,8 +53,9 @@ def test_discard_drops_checkpoint_without_restoring():
         manager.discard()
 
 
-def test_checkpoints_are_deep_copies():
-    """Mutating component state after the store must not corrupt the snapshot."""
+def test_checkpoints_keep_owned_snapshots_by_reference():
+    """A checkpoint holds the component's own (owned) snapshot, uncopied;
+    mutating the component after the store cannot reach it."""
 
     class ListState(CountingComponent):
         def __init__(self, name):
@@ -62,17 +63,18 @@ def test_checkpoints_are_deep_copies():
             self.items = [1, 2]
 
         def snapshot_state(self):
-            return {"items": self.items}
+            return {"items": list(self.items)}
 
         def restore_state(self, state):
-            self.items = state["items"]
+            self.items = list(state["items"])
 
     component = ListState("l")
     manager = CheckpointManager([component], StateCostModel(0, 0))
-    manager.store(cycle=0)
+    payload = manager.store(cycle=0).states["l"]
     component.items.append(3)
     manager.restore()
     assert component.items == [1, 2]
+    assert payload == {"items": [1, 2]}
 
 
 def test_variable_budget_overrides_actual_count():
@@ -93,18 +95,17 @@ def test_store_restore_costs_accumulate_in_stats():
     assert manager.stats.restore_time == pytest.approx(500 * 1e-9)
 
 
-def test_nested_checkpoints_restore_in_lifo_order():
+def test_nested_store_is_refused():
     manager, (a, _) = make_manager()
     a.counter = 1
     manager.store(cycle=1)
     a.counter = 2
-    manager.store(cycle=2)
-    a.counter = 3
-    assert manager.depth == 2
-    manager.restore()
-    assert a.counter == 2
+    with pytest.raises(CheckpointError, match="outstanding"):
+        manager.store(cycle=2)
+    assert manager.depth == 1
     manager.restore()
     assert a.counter == 1
+    assert manager.depth == 0
 
 
 def test_cost_model_formulas():

@@ -38,16 +38,6 @@ class CountingComponent(ClockedComponent):
         self.counter = 0
 
 
-def test_domain_other_flips_between_domains_but_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="Domain.other is deprecated"):
-        assert Domain.SIMULATOR.other is Domain.ACCELERATOR
-    with pytest.warns(DeprecationWarning):
-        assert Domain.ACCELERATOR.other is Domain.SIMULATOR
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="undefined for non-canonical"):
-            Domain("acc0").other
-
-
 def test_domain_is_an_open_interned_id_type():
     assert Domain("simulator") is Domain.SIMULATOR
     assert Domain("acc0") is Domain("acc0")

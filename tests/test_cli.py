@@ -107,6 +107,51 @@ def test_run_command_batch_engine(capsys):
     assert "performance" in out
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_trace_with_explicit_engine_is_a_usage_error(capsys, command):
+    """--trace picks the mode's trace preset; with --engine it would be
+    silently ignored, so argparse refuses the pair (exit 2)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--engine", "conventional", "--trace", "--cycles", "10"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trace" in err and "--engine" in err
+
+
+def test_sweep_trace_rows_use_trace_presets_and_match_scalar_rows(capsys, tmp_path):
+    """--trace runs each grid point on its mode's trace preset; the records
+    equal the scalar ones apart from the engine name, the request id, the
+    digest and the replay counters."""
+    from repro.orchestration import RunStore
+
+    rows = {}
+    for label, extra in (("scalar", []), ("trace", ["--trace"])):
+        path = tmp_path / f"{label}.jsonl"
+        argv = [
+            "sweep",
+            "--scenarios", "als_streaming", "sparse_telemetry",
+            "--modes", "conservative", "als",
+            "--cycles", "200",
+            "--output", str(path),
+            *extra,
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows[label] = [record.as_dict() for record in RunStore(path).load()]
+    presets = {"conservative": "conventional_trace", "als": "als_trace"}
+    assert [row["engine"] for row in rows["trace"]] == [
+        presets[row["mode"]] for row in rows["trace"]
+    ]
+    assert all(row["trace_replay"] for row in rows["trace"])
+    dropped = ("request_id", "engine", "digest", "trace_replay")
+
+    def strip(row):
+        return {key: value for key, value in row.items() if key not in dropped}
+
+    assert len(rows["trace"]) == len(rows["scalar"]) == 4
+    assert [strip(row) for row in rows["trace"]] == [strip(row) for row in rows["scalar"]]
+
+
 def test_scenarios_command_lists_catalog(capsys):
     out = run_cli(capsys, "scenarios")
     assert "Scenario catalog" in out

@@ -99,14 +99,13 @@ def test_batch_engines_are_bit_identical_on_every_scenario(name, mode):
     bit -- beat streams, statistics and modelled times down to the last float
     -- on every catalog scenario, ideal-channel and faulty alike."""
     digests = {}
-    for batch_stepping in (False, True):
+    batch_preset = "conventional_batch" if mode is OperatingMode.CONSERVATIVE else "als_batch"
+    for engine in (None, batch_preset):
         spec = build_scenario(name)
-        config = CoEmulationConfig(
-            mode=mode, total_cycles=120, batch_stepping=batch_stepping
-        )
+        config = CoEmulationConfig(mode=mode, total_cycles=120)
         config, partition = spec.prepare_run(config)
-        result = create_engine(config, partition=partition).run()
-        digests[batch_stepping] = repr(
+        result = create_engine(config, partition=partition, engine=engine).run()
+        digests[engine] = repr(
             (
                 sorted(result.domain_beat_keys.items()),
                 result.committed_cycles,
@@ -121,7 +120,7 @@ def test_batch_engines_are_bit_identical_on_every_scenario(name, mode):
                 result.monitors_ok,
             )
         )
-    assert digests[True] == digests[False]
+    assert digests[batch_preset] == digests[None]
 
 
 def test_faulty_tag_lists_the_degraded_scenarios():
