@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Protocol
 
 from .driver import ChannelEndpoint, ChannelError, ChannelMessage

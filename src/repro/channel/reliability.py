@@ -30,7 +30,7 @@ configured seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .driver import ChannelEndpoint

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -59,11 +60,12 @@ from .orchestration import (
     CheckpointPolicy,
     DurableRunEvents,
     EXIT_CODES,
+    FleetStats,
     ResultCache,
     RunFailure,
+    RunRecord,
     RunRequest,
     RunStore,
-    SupervisorPolicy,
     execute_request,
     execute_request_durable,
     failures_path,
@@ -72,8 +74,6 @@ from .orchestration import (
     plan_resume,
     quarantine_report,
     run_fleet,
-    run_supervised,
-    run_supervised_batch,
     run_worker,
     sweep_exit_code,
     write_failures,
@@ -182,6 +182,44 @@ def _write_quarantine_report(path: str, failures: List[RunFailure]) -> None:
         f"quarantine: wrote report for {report['total']} failure(s) to {path}",
         file=sys.stderr,
     )
+
+
+def _run_on_fleet(
+    requests: List[RunRequest],
+    coordination: Optional[str],
+    workers: int,
+    args: argparse.Namespace,
+    **options: Any,
+) -> Tuple[List[RunRecord], List[RunFailure], FleetStats]:
+    """Run ``requests`` supervised on the claim-board fleet.
+
+    ``coordination`` is the fleet directory (claims, attempt ledger,
+    snapshots, results); ``None`` uses a temporary one, removed afterwards.
+    Returns ``(records, failures, stats)``.
+    """
+    root = coordination or tempfile.mkdtemp(prefix="repro-fleet-")
+    try:
+        records, stats = run_fleet(
+            requests,
+            root,
+            workers=workers,
+            checkpoint=_checkpoint_policy(args),
+            max_retries=2 if args.max_retries is None else args.max_retries,
+            deadline=args.deadline,
+            log=lambda message: print(f"fleet: {message}", file=sys.stderr),
+            **options,
+        )
+        failures = load_quarantine(root, stats.sweep_id)
+    finally:
+        if coordination is None:
+            shutil.rmtree(root, ignore_errors=True)
+    if stats.unfinished:
+        raise ValueError(
+            f"{stats.unfinished} point(s) have failed or running attempts but "
+            "neither a record nor a verdict; let their workers finish, or "
+            "drive the sweep with --fleet N"
+        )
+    return records, failures, stats
 
 
 def _cmd_table2(args: argparse.Namespace) -> str:
@@ -444,27 +482,24 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
             )
     checkpoint = _checkpoint_policy(args)
     if args.deadline is not None or args.max_retries is not None:
-        # Supervised: the attempt runs in a watchdogged child and retries
-        # resume from the latest snapshot.  Without --snapshot-dir the
-        # snapshots are scoped to this invocation (retries still resume).
-        policy = SupervisorPolicy(
-            deadline=args.deadline,
-            max_retries=2 if args.max_retries is None else args.max_retries,
-            checkpoint=checkpoint or CheckpointPolicy(),
+        # Supervised: one fleet worker runs the attempts, retries resume
+        # from the latest snapshot.  Without --snapshot-dir the fleet
+        # directory is scoped to this invocation.
+        records, failures, _ = _run_on_fleet(
+            [request], args.snapshot_dir, workers=1, args=args
         )
-        snapshot_dir = args.snapshot_dir or tempfile.mkdtemp(prefix="repro-snap-")
-        outcome = run_supervised(request, snapshot_dir, policy=policy)
-        if isinstance(outcome, RunFailure):
+        if failures:
+            failure = failures[0]
             print(
-                f"run: {outcome.kind} after {outcome.attempts} attempt(s): "
-                f"{outcome.message.splitlines()[-1] if outcome.message else '-'}",
+                f"run: {failure.kind} after {failure.attempts} attempt(s): "
+                f"{failure.message.splitlines()[-1] if failure.message else '-'}",
                 file=sys.stderr,
             )
             return (
-                _render_failures([outcome], title=f"Run quarantined on '{args.soc}'"),
-                outcome.exit_code,
+                _render_failures([failure], title=f"Run quarantined on '{args.soc}'"),
+                failure.exit_code,
             )
-        record = outcome
+        record = records[0]
     elif checkpoint is not None or args.snapshot_dir is not None:
         # Durable (unsupervised): write snapshots, resume from a leftover
         # one if a previous invocation was interrupted mid-run.
@@ -535,7 +570,7 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
             ]
         )
     # Sorted so the rendering is stable no matter where the record came from
-    # (a live engine keeps insertion order; a supervised child or cache hit
+    # (a live engine keeps insertion order; a fleet worker or cache hit
     # round-trips through canonical JSON, which sorts keys).
     for domain, share in sorted(per_domain_utilisation(times).items()):
         rows.append([f"utilisation[{domain}]", f"{share:.1%}"])
@@ -570,14 +605,13 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
     cache = ResultCache(args.cache) if args.cache else None
     store = RunStore(args.output) if args.output else None
     runner = BatchRunner(jobs=args.jobs)
-    checkpoint = _checkpoint_policy(args)
     chaos = _chaos_config(args)
-    max_retries = 2 if args.max_retries is None else args.max_retries
     supervised = (
         args.deadline is not None
         or args.max_retries is not None
         or chaos is not None
     )
+    on_fleet = args.fleet is not None or supervised
     failures: List[RunFailure] = []
     if args.fleet is not None:
         if not args.cache:
@@ -593,55 +627,27 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
                 "--fleet and --jobs are mutually exclusive (fleet workers are "
                 "processes already)"
             )
-        if args.deadline is not None:
-            raise ValueError(
-                "--deadline supervises local child processes; fleet workers "
-                "use lease stealing instead (tune --fleet-ttl)"
-            )
-        records, fleet_stats = run_fleet(
+    elif supervised and args.resume:
+        raise ValueError(
+            "--resume cannot combine with supervision; supervised sweeps "
+            "already resume retries from their own snapshots"
+        )
+    if on_fleet:
+        records, failures, fleet_stats = _run_on_fleet(
             requests,
-            cache_dir=args.cache,
-            workers=args.fleet,
+            args.cache,
+            workers=args.jobs if args.fleet is None else args.fleet,
+            args=args,
             store=store,
             ttl=args.fleet_ttl,
             poll_interval=args.fleet_poll,
             kill_after=args.fleet_kill_after,
-            checkpoint=checkpoint,
             chaos=chaos,
-            max_retries=max_retries,
-            log=lambda message: print(f"fleet: {message}", file=sys.stderr),
         )
-        failures = load_quarantine(args.cache, fleet_stats.sweep_id)
         # Operational stats go to stderr: stdout must stay byte-identical
         # to the same grid swept with --jobs 1.
         print(render_fleet_stats(fleet_stats), file=sys.stderr)
         print(f"fleet: {fleet_stats.summary()}", file=sys.stderr)
-    elif supervised:
-        if args.resume:
-            raise ValueError(
-                "--resume cannot combine with supervision; supervised sweeps "
-                "already resume retries from their own snapshots"
-            )
-        policy = SupervisorPolicy(
-            deadline=args.deadline,
-            max_retries=max_retries,
-            checkpoint=checkpoint or CheckpointPolicy(),
-        )
-        snapshot_dir = args.snapshot_dir or tempfile.mkdtemp(prefix="repro-snap-")
-        records, failures = run_supervised_batch(
-            requests,
-            snapshot_dir,
-            policy=policy,
-            jobs=args.jobs,
-            cache=cache,
-            chaos=chaos,
-            chaos_state_dir=str(Path(snapshot_dir) / "chaos"),
-        )
-        print(
-            f"supervise: {len(records)} record(s), "
-            f"{len(failures)} quarantined",
-            file=sys.stderr,
-        )
     elif args.resume:
         if store is None:
             raise ValueError("--resume requires --output (the store to resume)")
@@ -656,11 +662,12 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
         print(f"resume: {plan.summary()}", file=sys.stderr)
     else:
         records = runner.run(requests, cache=cache)
-    if cache is not None and args.fleet is None:
-        print(f"cache: {cache.stats.summary()}", file=sys.stderr)
-    if store is not None and args.fleet is None:
-        # The fleet path's reconciliation already wrote the store.
-        store.write(records)
+    if not on_fleet:
+        if cache is not None:
+            print(f"cache: {cache.stats.summary()}", file=sys.stderr)
+        if store is not None:
+            # The fleet path's reconciliation already wrote the store.
+            store.write(records)
     if store is not None:
         # Failures go to a sidecar, never the store: the store's bytes stay
         # identical to a fully healthy serial sweep.  An empty failure list
@@ -722,6 +729,7 @@ def _cmd_worker(args: argparse.Namespace) -> str:
         checkpoint=_checkpoint_policy(args),
         max_retries=2 if args.max_retries is None else args.max_retries,
         drain_on_signal=args.drain_on_signal,
+        deadline=args.deadline,
     )
     return render_fleet_stats(stats)
 
@@ -778,23 +786,16 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     _add_checkpoint_args(parser)
     parser.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="where durable snapshots live (default: '.repro-snapshots' for "
-             "plain durable runs, a fresh temporary directory under "
-             "supervision)",
-    )
-    parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="supervise: run each attempt in a child process and SIGKILL it "
-             "past this wall-clock budget (exit code 10 when it times out "
-             "for good)",
+        help="supervise: SIGKILL an attempt that runs past this wall-clock "
+             "budget (exit code 10 when the point times out for good)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
-        help="supervise: retry a failed attempt up to N times, resuming "
-             "from the latest snapshot; a request that exhausts retries is "
-             "quarantined as a poison point (default 2 when supervision is "
-             "active)",
+        help="supervise: attempts beyond the first a point may spend, each "
+             "resuming from the latest snapshot, before it is quarantined as "
+             "poison (default 2; counted on the fleet's shared attempt "
+             "ledger, so it is fleet-wide)",
     )
 
 
@@ -915,6 +916,12 @@ def build_parser() -> argparse.ArgumentParser:
              "time as a readable table (default 10; 0 disables the table)",
     )
     _add_supervision_args(run)
+    run.add_argument(
+        "--snapshot-dir", default=None, metavar="DIR",
+        help="where durable snapshots live (default: '.repro-snapshots' for "
+             "plain durable runs; under supervision the fleet directory, a "
+             "fresh temporary one by default)",
+    )
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(
@@ -1038,13 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-tolerance test hook: SIGKILL self while holding the next "
              "claim after N executions",
     )
-    _add_checkpoint_args(worker)
-    worker.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="attempts (beyond the first) the *fleet* may spend on a point "
-             "before any worker quarantines it as poison (default 2; "
-             "tracked in the shared attempt ledger, so it is fleet-wide)",
-    )
+    _add_supervision_args(worker)
     worker.add_argument(
         "--drain-on-signal", action="store_true",
         help="on SIGTERM/SIGINT: snapshot the in-flight run, release all "

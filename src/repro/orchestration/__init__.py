@@ -20,16 +20,16 @@ such grids.  This package runs them at scale:
 * :func:`plan_resume` -- reconcile a partial store against a request grid so
   an interrupted sweep re-runs only its missing points.
 * :class:`ClaimBoard` / :func:`run_fleet` / :func:`run_worker` -- the
-  distributed layer: atomic lease-file claims over a shared cache directory,
-  work-stealing workers on any number of hosts, crash-tolerant
-  reconciliation byte-identical to a serial run.
+  distributed layer and the supervised executor: atomic lease-file claims
+  over a shared cache directory, work-stealing workers on any number of
+  hosts, per-attempt deadlines, retries from the latest snapshot, and
+  crash-tolerant reconciliation byte-identical to a serial run.
 * :func:`execute_request_durable` / :class:`CheckpointPolicy` -- periodic
   whole-engine snapshots so an interrupted run resumes mid-flight,
   bit-identical to an uninterrupted one.
-* :func:`run_supervised` / :class:`SupervisorPolicy` / :class:`RunFailure`
-  -- watchdog deadlines, retry-with-backoff from the latest snapshot, and
-  poison-point quarantine with a structured failure taxonomy mapped to
-  distinct process exit codes.
+* :class:`RunFailure` / :func:`ledger_verdict` -- the failure taxonomy
+  mapped to distinct process exit codes, and the one retry policy that
+  turns a point's attempt ledger into a poison-point quarantine.
 * :class:`ChaosConfig` / :class:`ChaosMonkey` -- deterministic fault
   injection (kill / hang / disk-full) keyed on the request id, for CI and
   property tests of all of the above.
@@ -68,12 +68,10 @@ from .store import RunStore, StoreScan, TornLine
 from .supervisor import (
     EXIT_CODES,
     RunFailure,
-    SupervisorPolicy,
     failures_path,
+    ledger_verdict,
     load_failures,
     quarantine_report,
-    run_supervised,
-    run_supervised_batch,
     sweep_exit_code,
     write_failures,
 )
@@ -101,13 +99,13 @@ __all__ = [
     "RunRequest",
     "RunStore",
     "StoreScan",
-    "SupervisorPolicy",
     "TornLine",
     "derive_seed",
     "execute_request",
     "execute_request_durable",
     "failures_path",
     "grid_requests",
+    "ledger_verdict",
     "load_failures",
     "load_grid",
     "load_quarantine",
@@ -117,8 +115,6 @@ __all__ = [
     "quarantine_report",
     "reconcile",
     "run_fleet",
-    "run_supervised",
-    "run_supervised_batch",
     "run_worker",
     "snapshot_path",
     "sweep_exit_code",

@@ -18,6 +18,8 @@ claimed ``request_id``:
   stand still for a full TTL of **local monotonic time**.  Hosts therefore
   never compare clocks (skew and mtime granularity are irrelevant); the
   price is that a fresh observer waits one TTL before its first steal.
+  A lease whose owner someone *saw* die (a fleet driver reaping its
+  worker) is marked abandoned and is stealable at once.
 * **Steal** -- atomic :func:`os.replace` of a new lease over the expired
   one, then a read-back: whoever's lease survives the last replace owns the
   claim; losers see a foreign owner and walk away.
@@ -55,6 +57,10 @@ DEFAULT_LEASE_TTL = 30.0
 #: write by a crashed claimer).  Corrupt leases block like any other foreign
 #: lease and become stealable after one TTL of observed stillness.
 CORRUPT_OWNER = "<corrupt>"
+
+#: Heartbeat counter of a lease whose owner is known dead
+#: (:meth:`ClaimBoard.abandon`); such a lease is stealable at once.
+ABANDONED = -2
 
 
 def default_owner() -> str:
@@ -288,6 +294,8 @@ class ClaimBoard:
             # worker loop resumed after an exception): adopt it silently.
             self.owned.add(request_id)
             return "claimed"
+        if lease.heartbeat == ABANDONED:
+            return "stolen" if self._try_steal(request_id) else None
         now = self.clock()
         seen = self._observed.get(request_id)
         if seen is None or seen[0] != lease.fingerprint:
@@ -313,6 +321,19 @@ class ClaimBoard:
         return False
 
     # -- housekeeping -------------------------------------------------------
+
+    def abandon(self, request_id: str, owner: str) -> bool:
+        """Mark ``owner``'s lease abandoned; the caller knows ``owner`` is dead.
+
+        An abandoned lease is stealable at once instead of after one TTL: a
+        fleet driver that reaped a worker's process hands its in-flight
+        point to the next claimer immediately.
+        """
+        lease = self.read(request_id)
+        if lease is None or lease.owner != owner:
+            return False
+        self._replace(Lease(request_id, owner, ABANDONED, time.time()))
+        return True
 
     def outstanding(self) -> Dict[str, Lease]:
         """Every lease currently on the board, by request_id."""

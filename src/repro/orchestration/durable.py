@@ -13,7 +13,7 @@ execute_request` with a persistence loop attached through the engine's
   bit-identical to an uninterrupted run (corrupt snapshots are quarantined
   to ``.snap.corrupt`` and the run starts cold instead);
 * a ``heartbeat`` callable is invoked at every safe point with the committed
-  cycle count -- the supervisor's watchdog reads progress from it;
+  cycle count -- a fleet worker's heartbeat pump reads progress from it;
 * a :class:`~repro.orchestration.chaos.ChaosMonkey` (if any) gets its shot
   at every safe point, and may veto snapshot writes (simulated disk-full);
 * a ``drain`` predicate turns ``True`` into "persist a final snapshot and
@@ -32,7 +32,7 @@ import errno
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 

@@ -13,17 +13,25 @@ directory -- without a coordinator process:
 * a **claim protocol** (:mod:`.claims`): workers claim points by
   ``request_id`` via atomic lease files, heartbeat while executing, and
   steal leases whose heartbeats have stopped (a SIGKILLed worker's in-flight
-  points are re-executed by survivors after one TTL).
+  points are re-executed by survivors after one TTL);
+* an **attempt ledger** (``<cache>/fleet/attempts/<sweep_id>/<request_id>/``):
+  one marker per execution attempt with its outcome, from which
+  :func:`~repro.orchestration.supervisor.ledger_verdict` decides between a
+  retry and a quarantine.  Together with the per-attempt deadline enforced
+  by each worker's heartbeat pump, this makes the fleet the supervised
+  executor.
 
 Workers are stateless and interchangeable: each loops over the grid, skips
 points already in the cache, claims and executes misses, and exits when the
-grid is fully cached.  :func:`run_fleet` is the convenience driver behind
-``repro sweep --fleet N``: it publishes the manifest, spawns N local worker
-processes, restarts crashed ones, and finishes with a **reconciliation
-pass** built on the same :func:`~repro.orchestration.cache.plan_resume` that
-``sweep --resume`` uses -- so a sweep interrupted at any point (mid-shard
-write, mid-claim, mid-store rewrite) converges to an output store
-byte-identical to a ``--jobs 1`` run of the same grid.
+grid is fully cached or quarantined.  :func:`run_fleet` is the driver behind
+``repro sweep --fleet N`` and behind supervised sweeps and runs
+(``--deadline`` / ``--max-retries`` / ``--chaos-*``): it publishes the
+manifest, spawns N local worker processes, restarts dead ones, and finishes
+with a **reconciliation pass** built on the same
+:func:`~repro.orchestration.cache.plan_resume` that ``sweep --resume`` uses
+-- so a sweep interrupted at any point (mid-shard write, mid-claim,
+mid-store rewrite) converges to an output store byte-identical to a
+``--jobs 1`` run of the same grid.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import json
 import multiprocessing
 import os
 import signal
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -43,12 +50,12 @@ from ..channel.faults import ChannelDegradedError
 from ..core.snapshot import AbortRun
 from .cache import ResultCache, plan_resume
 from .chaos import ChaosConfig, ChaosMonkey
-from .claims import DEFAULT_LEASE_TTL, ClaimBoard
+from .claims import DEFAULT_LEASE_TTL, ClaimBoard, default_owner
 from .durable import CheckpointPolicy, DurableRunEvents, execute_request_durable
 from .request import RunRecord, RunRequest, canonical_json, _sha256
 from .runner import BatchRunner
 from .store import RunStore, atomic_write_text
-from .supervisor import RunFailure
+from .supervisor import RunFailure, ledger_verdict
 
 #: Seconds an idle worker sleeps before re-scanning the grid for newly
 #: expired leases or newly cached results.
@@ -137,29 +144,106 @@ def load_quarantine(
     return failures
 
 
-def _count_attempts(
+def load_attempts(
     cache_root: Union[str, Path], sweep_id: str, request_id: str
-) -> int:
+) -> List[Dict[str, object]]:
+    """One request's attempt ledger: its open and failed attempts, in order."""
     directory = attempts_dir(cache_root, sweep_id) / request_id
     if not directory.is_dir():
-        return 0
-    return sum(1 for _ in directory.glob("*.attempt"))
+        return []
+    markers = sorted(directory.glob("*.json"), key=lambda path: int(path.stem))
+    return [_read_marker(marker) for marker in markers]
 
 
-def _record_attempt(
+def _read_marker(marker: Path) -> Dict[str, object]:
+    try:
+        return json.loads(marker.read_text())
+    except (OSError, ValueError):
+        return {}  # torn by a kill mid-create: an attempt with no outcome
+
+
+def _write_marker(marker: Path, entry: Dict[str, object]) -> None:
+    atomic_write_text(marker, json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _open_attempt(
     cache_root: Union[str, Path], sweep_id: str, request_id: str, owner: str
-) -> None:
+) -> Path:
     """Durably mark "an execution of this point is starting".
 
     Written *before* executing, so an attempt that SIGKILLs its worker still
     counts -- that persistence is what lets the surviving workers recognise
-    a poison point (attempt markers pile up without a cached record) and
-    quarantine it instead of dying one by one forever.
+    a poison point and quarantine it instead of dying one by one forever.
+    Each attempt takes the lowest free index with an exclusive create; its
+    outcome fields stay null until the attempt ends (:func:`_end_attempt`,
+    :func:`settle_attempts`).  The marker is removed again when the attempt
+    publishes a record or drains, so the ledger only ever holds open and
+    failed attempts.
     """
     directory = attempts_dir(cache_root, sweep_id) / request_id
     directory.mkdir(parents=True, exist_ok=True)
-    fd, _ = tempfile.mkstemp(dir=str(directory), prefix=f"{owner}.", suffix=".attempt")
-    os.close(fd)
+    index = 0
+    while True:
+        marker = directory / f"{index}.json"
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            index += 1
+            continue
+        entry = {
+            "owner": owner,
+            "status": None,
+            "exit_code": None,
+            "last_committed": None,
+            "error": None,
+        }
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        return marker
+
+
+def _end_attempt(
+    marker: Path,
+    status: str,
+    last_committed: Optional[int],
+    error: Optional[str] = None,
+) -> None:
+    """Record how an attempt the worker itself ended went."""
+    entry = _read_marker(marker)
+    entry.update(status=status, last_committed=last_committed, error=error)
+    _write_marker(marker, entry)
+
+
+def settle_attempts(
+    cache_root: Union[str, Path], sweep_id: str, owner: str, exit_code: int
+) -> List[str]:
+    """Stamp a dead worker's exit code on the attempts its process ended with.
+
+    Those are ``owner``'s attempts without an exit code that either have no
+    status yet (the process died mid-run, e.g. SIGKILLed) or timed out (the
+    heartbeat pump killed its own process).  Returns their request ids.
+    """
+    settled = []
+    for marker in sorted(attempts_dir(cache_root, sweep_id).glob("*/*.json")):
+        entry = _read_marker(marker)
+        if (
+            entry.get("owner") != owner
+            or entry.get("exit_code") is not None
+            or entry.get("status") not in (None, "timeout")
+        ):
+            continue
+        entry["status"] = entry.get("status") or "crash"
+        entry["exit_code"] = exit_code
+        _write_marker(marker, entry)
+        settled.append(marker.parent.name)
+    return settled
+
+
+def _check_supervision(deadline: Optional[float], max_retries: int) -> None:
+    if deadline is not None and deadline <= 0:
+        raise ValueError("deadline must be positive")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
 
 
 def sweep_id_for(requests: Sequence[RunRequest]) -> str:
@@ -265,6 +349,61 @@ class FleetWorkerStats:
         )
 
 
+class _Attempt:
+    """The worker's in-flight attempt, shared with its heartbeat pump.
+
+    ``progress`` is a monotonic stamp bumped by the worker loop between
+    points and by the engine at every safe point (``committed`` is the last
+    safe-point cycle).  The lock orders ending an attempt between the worker
+    loop and the pump's deadline check, so an attempt gets one outcome.
+    """
+
+    def __init__(self) -> None:
+        self.progress = time.monotonic()
+        self.committed: Optional[int] = None
+        self.marker: Optional[Path] = None
+        self.started = 0.0
+        self._lock = threading.Lock()
+
+    def touch(self, committed: Optional[int] = None) -> None:
+        self.progress = time.monotonic()
+        if committed is not None:
+            self.committed = committed
+
+    def begin(self, marker: Path) -> None:
+        with self._lock:
+            self.marker = marker
+            self.committed = None
+            self.started = time.monotonic()
+        self.touch()
+
+    def end(self, status: str, error: Optional[str] = None) -> None:
+        """Record a failed outcome; the marker stays on the ledger."""
+        with self._lock:
+            if self.marker is not None:
+                _end_attempt(self.marker, status, self.committed, error)
+                self.marker = None
+
+    def discard(self) -> None:
+        """Drop the marker: the attempt published a record or drained."""
+        with self._lock:
+            if self.marker is not None:
+                try:
+                    self.marker.unlink()
+                except OSError:
+                    pass
+                self.marker = None
+
+    def expire(self, deadline: float) -> bool:
+        """Record a ``timeout`` if the attempt has outlived ``deadline``."""
+        with self._lock:
+            if self.marker is None or time.monotonic() - self.started <= deadline:
+                return False
+            _end_attempt(self.marker, "timeout", self.committed)
+            self.marker = None
+            return True
+
+
 class _HeartbeatPump:
     """Daemon thread renewing every lease the board currently owns.
 
@@ -272,27 +411,33 @@ class _HeartbeatPump:
     starve its own lease into stealability; a SIGKILL stops the pump with
     the process, which is exactly what lets survivors steal.
 
-    ``progress`` + ``stall_after`` make the pump *progress-aware*: when the
-    supplied monotonic progress stamp has not advanced for ``stall_after``
-    seconds, the pump stops renewing -- a worker that is alive but **stuck**
-    (hung engine, chaos hang, deadlocked I/O) then looks exactly like a dead
-    one, and survivors steal its lease.  Legitimate long runs keep beating
-    because the engine loop stamps progress at every safe point.  A steal
-    provoked by a merely-slow cycle stays benign: runs are deterministic,
-    both executions publish byte-identical records.
+    The pump is *progress-aware*: when the attempt's progress stamp has not
+    advanced for ``stall_after`` seconds, the pump stops renewing -- a
+    worker that is alive but **stuck** (hung engine, chaos hang, deadlocked
+    I/O) then looks exactly like a dead one, and survivors steal its lease.
+    Legitimate long runs keep beating because the engine loop stamps
+    progress at every safe point.  A steal provoked by a merely-slow cycle
+    stays benign: runs are deterministic, both executions publish
+    byte-identical records.
+
+    With a ``deadline`` the pump also enforces it: an attempt running longer
+    gets a ``timeout`` outcome on its marker, then the pump SIGKILLs its own
+    process -- a hung engine cannot be un-hung from inside.
     """
 
     def __init__(
         self,
         board: ClaimBoard,
         interval: float,
-        progress: Optional[Callable[[], float]] = None,
-        stall_after: Optional[float] = None,
+        attempt: _Attempt,
+        stall_after: float,
+        deadline: Optional[float] = None,
     ) -> None:
         self._board = board
         self._interval = interval
-        self._progress = progress
+        self._attempt = attempt
         self._stall_after = stall_after
+        self._deadline = deadline
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="fleet-heartbeat", daemon=True
@@ -303,11 +448,9 @@ class _HeartbeatPump:
 
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
-            if (
-                self._progress is not None
-                and self._stall_after is not None
-                and time.monotonic() - self._progress() > self._stall_after
-            ):
+            if self._deadline is not None and self._attempt.expire(self._deadline):
+                _sigkill_self()
+            if time.monotonic() - self._attempt.progress > self._stall_after:
                 continue  # stuck: let the lease age into stealability
             for request_id in list(self._board.owned):
                 if request_id not in self._board.owned:
@@ -370,6 +513,7 @@ def run_worker(
     max_retries: int = 2,
     drain_on_signal: bool = False,
     drain: Optional[threading.Event] = None,
+    deadline: Optional[float] = None,
 ) -> FleetWorkerStats:
     """Join the sweep published in ``cache_dir`` and work until it is done.
 
@@ -383,10 +527,13 @@ def run_worker(
     execute_request_durable`): with a ``checkpoint`` policy the worker
     snapshots under its lease into the sweep's shared snapshot directory, so
     a worker stealing this point after a crash **resumes from the victim's
-    last snapshot** instead of cycle 0.  A request whose attempts (recorded
-    durably, across all workers) exceed ``max_retries`` extra tries is
-    quarantined as a poison point rather than executed again; deterministic
-    channel degradations are quarantined immediately, with no retry burned.
+    last snapshot** instead of cycle 0.  Every attempt is recorded durably
+    in the sweep's attempt ledger (shared by all workers), and before each
+    new attempt :func:`~repro.orchestration.supervisor.ledger_verdict`
+    decides whether the point runs again or is quarantined: as ``poison``
+    once ``1 + max_retries`` attempts failed, as ``degraded`` at once.
+    ``deadline`` bounds each attempt's wall-clock time: the heartbeat pump
+    records a ``timeout`` and SIGKILLs this worker's own process.
 
     ``drain_on_signal`` turns SIGTERM/SIGINT into a *graceful drain*: the
     engine loop stops at the next safe point (persisting a final snapshot
@@ -403,6 +550,7 @@ def run_worker(
     ``requests`` overrides the manifest (used by in-process tests); normal
     workers load the published grid.
     """
+    _check_supervision(deadline, max_retries)
     start = time.perf_counter()
     if requests is None:
         sweep_id, request_list = load_grid(cache_dir)
@@ -415,6 +563,8 @@ def run_worker(
     )
     if heartbeat_interval is None:
         heartbeat_interval = max(ttl / 4.0, 0.02)
+        if deadline is not None:
+            heartbeat_interval = min(heartbeat_interval, max(deadline / 10.0, 0.02))
     if drain is None:
         drain = threading.Event()
     previous_handlers = _install_drain_handlers(drain) if drain_on_signal else None
@@ -425,20 +575,16 @@ def run_worker(
         if chaos is None
         else ChaosMonkey(chaos, state_dir=chaos_state_dir(cache_dir))
     )
-    # The progress stamp feeds the stall-aware heartbeat pump: bumped by the
-    # loop between points and by the engine at every safe point.  If it stops
-    # moving the pump stops renewing and this worker's leases become
-    # stealable -- a hung run must not be kept alive by its own heartbeat.
-    progress_stamp = [time.monotonic()]
-
-    def touch_progress(_committed: int = 0) -> None:
-        progress_stamp[0] = time.monotonic()
-
+    # If the attempt's progress stamp stops moving the pump stops renewing
+    # and this worker's leases become stealable -- a hung run must not be
+    # kept alive by its own heartbeat.
+    attempt = _Attempt()
     pump = _HeartbeatPump(
         board,
         heartbeat_interval,
-        progress=lambda: progress_stamp[0],
+        attempt,
         stall_after=max(ttl, 4.0 * heartbeat_interval),
+        deadline=deadline,
     )
     pump.start()
     pending: Dict[str, RunRequest] = {
@@ -456,7 +602,7 @@ def run_worker(
                     break
                 if request_id not in pending:
                     continue  # completed earlier in this same pass
-                touch_progress()
+                attempt.touch()
                 if quarantine_path(cache_dir, sweep_id, request_id).exists():
                     pending.pop(request_id)
                     progress = True
@@ -481,41 +627,27 @@ def run_worker(
                     progress = True
                     continue
                 request = pending[request_id]
-                prior = _count_attempts(cache_dir, sweep_id, request_id)
-                if prior > max_retries:
-                    # 1 + max_retries attempts started and none produced a
-                    # record: every execution died with its worker.  Poison.
-                    write_quarantine(
-                        cache_dir,
-                        sweep_id,
-                        RunFailure(
-                            request_id=request_id,
-                            label=request.display_label(),
-                            scenario=request.scenario,
-                            mode=request.mode,
-                            kind="poison",
-                            attempts=prior,
-                            message=(
-                                f"{prior} attempt(s) started without ever "
-                                "publishing a record; quarantined as poison"
-                            ),
-                        ),
-                    )
+                prior = load_attempts(cache_dir, sweep_id, request_id)
+                failure = ledger_verdict(request, prior, max_retries)
+                if failure is not None:
+                    write_quarantine(cache_dir, sweep_id, failure)
                     stats.quarantined += 1
                     board.release(request_id)
                     pending.pop(request_id)
                     progress = True
                     continue
-                _record_attempt(cache_dir, sweep_id, request_id, board.owner)
                 if prior:
                     stats.retried += 1
+                attempt.begin(
+                    _open_attempt(cache_dir, sweep_id, request_id, board.owner)
+                )
                 events = DurableRunEvents()
                 try:
                     record = execute_request_durable(
                         request,
                         snapshot_root,
                         policy=checkpoint or CheckpointPolicy(),
-                        heartbeat=touch_progress,
+                        heartbeat=attempt.touch,
                         chaos=monkey,
                         drain=drain.is_set,
                         events=events,
@@ -523,52 +655,22 @@ def run_worker(
                 except AbortRun:
                     # Drain fired mid-run; the final snapshot (if
                     # checkpointing) is already on disk for a successor.
+                    attempt.discard()
                     break
                 except ChannelDegradedError as exc:
-                    write_quarantine(
-                        cache_dir,
-                        sweep_id,
-                        RunFailure(
-                            request_id=request_id,
-                            label=request.display_label(),
-                            scenario=request.scenario,
-                            mode=request.mode,
-                            kind="degraded",
-                            attempts=prior + 1,
-                            message=str(exc),
-                        ),
-                    )
-                    stats.quarantined += 1
-                    board.release(request_id)
+                    attempt.end("degraded", str(exc))
+                except Exception as exc:  # the worker outlives a crashing point
+                    attempt.end("crash", f"{type(exc).__name__}: {exc}")
+                else:
+                    if events.resumed_from_cycle is not None:
+                        stats.resumed += 1
+                    cache.put(record)
+                    attempt.discard()
+                    executed_ids.add(request_id)
                     pending.pop(request_id)
-                    progress = True
-                    continue
-                except Exception as exc:
-                    if prior + 1 > max_retries:
-                        write_quarantine(
-                            cache_dir,
-                            sweep_id,
-                            RunFailure(
-                                request_id=request_id,
-                                label=request.display_label(),
-                                scenario=request.scenario,
-                                mode=request.mode,
-                                kind="poison",
-                                attempts=prior + 1,
-                                message=f"{type(exc).__name__}: {exc}",
-                            ),
-                        )
-                        stats.quarantined += 1
-                        pending.pop(request_id)
-                    board.release(request_id)
-                    progress = True
-                    continue
-                if events.resumed_from_cycle is not None:
-                    stats.resumed += 1
-                cache.put(record)
+                # A failed attempt stays on the ledger; the next claim of
+                # this point (ours, usually) reads the verdict.
                 board.release(request_id)
-                executed_ids.add(request_id)
-                pending.pop(request_id)
                 progress = True
             if pending and not progress and not drain.is_set():
                 time.sleep(poll_interval)
@@ -593,9 +695,6 @@ def run_worker(
 
 
 def _sigkill_self() -> None:  # pragma: no cover - the point is not to return
-    import os
-    import signal
-
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -638,6 +737,7 @@ def _worker_entry(
     chaos_payload: Optional[Dict[str, object]] = None,
     max_retries: int = 2,
     drain_on_signal: bool = True,
+    deadline: Optional[float] = None,
 ) -> None:
     """Module-level process target (must stay picklable for spawn contexts)."""
     policy = None
@@ -656,6 +756,7 @@ def _worker_entry(
         chaos=chaos,
         max_retries=max_retries,
         drain_on_signal=drain_on_signal,
+        deadline=deadline,
     )
 
 
@@ -679,6 +780,7 @@ class FleetStats:
     torn_records: int = 0  # damaged store lines seen while reconciling
     reaped_leases: int = 0  # dangling leases of already-completed points
     quarantined: int = 0  # points in the sweep's quarantine report
+    unfinished: int = 0  # points with attempts but neither record nor verdict
 
     def total(self, field_name: str) -> int:
         return sum(getattr(worker, field_name) for worker in self.workers)
@@ -704,6 +806,8 @@ class FleetStats:
             text += f", {self.reaped_leases} dangling lease(s) reaped"
         if self.quarantined:
             text += f", {self.quarantined} point(s) quarantined"
+        if self.unfinished:
+            text += f", {self.unfinished} point(s) unfinished"
         return text
 
 
@@ -718,8 +822,9 @@ def reconcile(
 
     Reuses :func:`plan_resume` against the (possibly absent, partial or
     torn) store, serves the missing points from the cache -- executing any
-    true stragglers in-process, which makes reconciliation total even after
-    a whole-fleet crash -- and rewrites the store atomically.  The result is
+    point no worker ever attempted in-process (:func:`run_fleet` never
+    hands it a point with an attempt on the ledger) -- and rewrites the
+    store atomically.  The result is
     byte-identical to an uninterrupted ``--jobs 1`` sweep of the same grid,
     whatever the interleaving of worker crashes that preceded it.
     """
@@ -765,40 +870,47 @@ def run_fleet(
     ttl: float = DEFAULT_LEASE_TTL,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
     kill_after: Optional[int] = None,
-    max_restarts: Optional[int] = None,
     mp_context: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
     checkpoint: Optional[CheckpointPolicy] = None,
     chaos: Optional[ChaosConfig] = None,
     max_retries: int = 2,
+    deadline: Optional[float] = None,
 ) -> Tuple[List[RunRecord], FleetStats]:
     """Publish the grid, drive ``workers`` local workers, reconcile.
 
     ``workers=0`` spawns nothing: it publishes (or re-publishes) the
     manifest and reconciles whatever external workers have cached so far,
-    executing any remainder in-process -- the "finalize now" mode for
-    multi-host sweeps whose workers joined via ``repro worker``.
+    executing in-process only points no worker has attempted -- the
+    "finalize now" mode for multi-host sweeps whose workers joined via
+    ``repro worker``.  Points with attempts but neither a record nor a
+    verdict are left out and counted in ``stats.unfinished``.
 
-    Crashed workers (non-zero exit, e.g. SIGKILL) are restarted up to
-    ``max_restarts`` times (default: one restart per worker); their leases
-    are stolen by survivors after ``ttl``.  ``kill_after`` arms the crash
-    hook on the *first* worker only -- see :func:`run_worker`.
+    While any point is neither cached nor quarantined, the driver restarts
+    every worker that died.  Before restarting one that died with a
+    non-zero exit code it settles the dead worker's in-flight attempts
+    (:func:`settle_attempts` stamps the exit code) and abandons their
+    leases, so the next claimer steals them at once.  Other leases of the
+    dead worker are stolen by survivors after ``ttl``.  ``kill_after`` arms the crash hook on the
+    *first* worker only -- see :func:`run_worker`.
 
     ``checkpoint`` enables durable snapshots under the leases, making every
     steal and restart a mid-run resume; ``chaos`` arms the deterministic
-    failure-injection harness in every worker.  Points quarantined by the
-    workers (poison or deterministically degraded) are excluded from the
+    failure-injection harness in every worker; ``deadline`` and
+    ``max_retries`` are the per-attempt supervision policy (see
+    :func:`run_worker`).  Points quarantined by the workers (poison,
+    timeout, crash or deterministically degraded) are excluded from the
     returned records and from the store; read their failure records with
     :func:`load_quarantine` (``stats.quarantined`` carries the count).
     Workers are spawned with ``drain_on_signal`` enabled, so the driver's
     terminate-on-teardown is a graceful drain, not a kill.
     """
+    _check_supervision(deadline, max_retries)
     request_list = list(requests)
     sweep_id = publish_grid(cache_dir, request_list)
     stats = FleetStats(sweep_id=sweep_id, grid_points=len(request_list))
-    if max_restarts is None:
-        max_restarts = max(1, workers)
     cache = ResultCache(cache_dir)
+    board = ClaimBoard(claims_dir(cache_dir), owner="reconciler", ttl=ttl)
     wanted = [request.request_id for request in request_list]
     checkpoint_spec = (
         None
@@ -814,13 +926,16 @@ def run_fleet(
         return {path.stem for path in directory.glob("*.json")}
 
     context = multiprocessing.get_context(mp_context)
+    # Owner names are unique across hosts (driver host and pid) and known
+    # to the driver, which settles a dead worker's attempts by owner.
+    owner_prefix = default_owner()
 
     def spawn(index: int, hook: Optional[int]) -> multiprocessing.process.BaseProcess:
         process = context.Process(
             target=_worker_entry,
             args=(
                 str(cache_dir),
-                None,
+                f"{owner_prefix}-w{index}",
                 ttl,
                 poll_interval,
                 hook,
@@ -828,8 +943,9 @@ def run_fleet(
                 chaos_payload,
                 max_retries,
                 True,
+                deadline,
             ),
-            name=f"fleet-worker-{index}",
+            name=f"{owner_prefix}-w{index}",
             daemon=True,
         )
         process.start()
@@ -838,37 +954,35 @@ def run_fleet(
     processes = [spawn(index, kill_after if index == 0 else None)
                  for index in range(workers)]
     try:
-        if processes:
-            while True:
-                cache.refresh()
-                done = quarantined_ids()
-                if all(
-                    request_id in cache or request_id in done
-                    for request_id in wanted
-                ):
-                    break
-                alive = 0
-                for index, process in enumerate(processes):
-                    if process.is_alive():
-                        alive += 1
-                        continue
-                    if process.exitcode not in (0, None) and stats.restarts < max_restarts:
-                        stats.restarts += 1
-                        if log is not None:
-                            log(
-                                f"worker {process.name} exited with "
-                                f"{process.exitcode}; restart "
-                                f"{stats.restarts}/{max_restarts}"
-                            )
-                        processes[index] = spawn(workers + stats.restarts, None)
-                        alive += 1
-                if alive == 0:
-                    # Whole fleet gone and restart budget spent: fall through,
-                    # reconciliation executes the remainder in-process.
-                    break
-                time.sleep(poll_interval)
-            for process in processes:
-                process.join(timeout=max(10.0, 4 * ttl))
+        while processes:
+            # Liveness before completion: a worker that exits after the
+            # completion check is only seen dead on the next round.
+            dead = [index for index, process in enumerate(processes)
+                    if not process.is_alive()]
+            cache.refresh()
+            done = quarantined_ids()
+            if all(
+                request_id in cache or request_id in done
+                for request_id in wanted
+            ):
+                break
+            for index in dead:
+                process = processes[index]
+                if process.exitcode:
+                    for request_id in settle_attempts(
+                        cache_dir, sweep_id, process.name, process.exitcode
+                    ):
+                        board.abandon(request_id, process.name)
+                stats.restarts += 1
+                if log is not None:
+                    log(
+                        f"worker {process.name} exited with "
+                        f"{process.exitcode}; restart {stats.restarts}"
+                    )
+                processes[index] = spawn(workers + stats.restarts - 1, None)
+            time.sleep(poll_interval)
+        for process in processes:
+            process.join(timeout=max(10.0, 4 * ttl))
     finally:
         for process in processes:
             if process.is_alive():  # pragma: no cover - defensive teardown
@@ -878,14 +992,21 @@ def run_fleet(
                 process.kill()
                 process.join(timeout=5.0)
 
+    cache.refresh()
     quarantined = quarantined_ids()
     stats.quarantined = len(quarantined)
-    healthy = [
+    # A point with an attempt on the ledger is never run in-process: the
+    # attempt may have crashed its worker, and would crash the driver too.
+    runnable = [
         request for request in request_list
         if request.request_id not in quarantined
+        and (
+            request.request_id in cache
+            or not load_attempts(cache_dir, sweep_id, request.request_id)
+        )
     ]
-    records = reconcile(healthy, cache, store=store, stats=stats)
-    board = ClaimBoard(claims_dir(cache_dir), owner="reconciler", ttl=ttl)
+    stats.unfinished = len(request_list) - len(quarantined) - len(runnable)
+    records = reconcile(runnable, cache, store=store, stats=stats)
     cache.refresh()
     stats.reaped_leases = board.sweep_completed(
         lambda rid: rid in cache or rid in quarantined

@@ -23,7 +23,12 @@ from repro.orchestration import (
     run_worker,
     sweep_id_for,
 )
-from repro.orchestration.fleet import claims_dir, load_worker_stats
+from repro.orchestration.fleet import (
+    _end_attempt,
+    _open_attempt,
+    claims_dir,
+    load_worker_stats,
+)
 from repro.orchestration.store import canonical_line
 
 
@@ -170,6 +175,25 @@ def test_fleet_zero_workers_reconciles_what_external_workers_did(
     assert store.digest() == reference.digest()
     assert stats.executed_locally == len(grid) - 5
     assert stats.workers == []  # nobody local ran
+
+
+def test_fleet_zero_workers_never_runs_an_attempted_point_in_process(
+    tmp_path, grid, serial_records
+):
+    """A point whose attempt crashed an external worker has no record and
+    no verdict yet: finalize-only reconciliation leaves it out and counts
+    it as unfinished instead of running it in the driver's process."""
+    cache_dir = tmp_path / "cache"
+    sweep_id = publish_grid(cache_dir, grid)
+    crashed = grid[0].request_id
+    marker = _open_attempt(cache_dir, sweep_id, crashed, "external")
+    _end_attempt(marker, "crash", last_committed=None, error="boom")
+    records, stats = run_fleet(grid, cache_dir, workers=0)
+    assert [r.request_id for r in records] == [r.request_id for r in grid[1:]]
+    assert stats.unfinished == 1
+    assert stats.executed_locally == len(grid) - 1
+    assert "1 point(s) unfinished" in stats.summary()
+    assert ResultCache(cache_dir).get(grid[0]) is None
 
 
 def test_fleet_reconciles_a_preexisting_torn_store(

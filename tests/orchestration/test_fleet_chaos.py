@@ -14,8 +14,6 @@ import os
 import signal
 import time
 
-import pytest
-
 from repro.orchestration import (
     BatchRunner,
     ChaosConfig,
@@ -113,7 +111,6 @@ def test_fleet_quarantines_poison_points_and_finishes_the_rest(tmp_path):
         poll_interval=0.1,
         chaos=chaos,
         max_retries=2,
-        max_restarts=16,
     )
     failures = load_quarantine(tmp_path / "cache", stats.sweep_id)
     assert sorted(f.request_id for f in failures) == sorted(doomed)
@@ -123,6 +120,39 @@ def test_fleet_quarantines_poison_points_and_finishes_the_rest(tmp_path):
     assert "quarantined" in stats.summary()
     healthy = [r for r in serial if r.request_id not in doomed]
     assert _bytes(records) == _bytes(healthy)
+
+
+def test_fleet_single_worker_poisons_every_attempt_kills_without_local_runs(
+    tmp_path,
+):
+    """One worker, a kill on every attempt: the driver keeps restarting the
+    worker until the ledger's verdict quarantines both points -- it never
+    gives up and runs a crashing point in its own process."""
+    grid = grid_requests(
+        scenarios=["single_master", "als_streaming"],
+        modes=["conservative"],
+        cycles=150,
+    )
+    chaos = ChaosConfig(seed=11, kill_probability=1.0, once=False)
+    records, stats = run_fleet(
+        grid,
+        cache_dir=tmp_path / "cache",
+        workers=1,
+        poll_interval=0.05,
+        checkpoint=CheckpointPolicy(every_cycles=30),
+        chaos=chaos,
+        max_retries=1,
+    )
+    failures = load_quarantine(tmp_path / "cache", stats.sweep_id)
+    assert records == []
+    assert stats.executed_locally == 0
+    assert sorted(f.request_id for f in failures) == sorted(
+        r.request_id for r in grid
+    )
+    for failure in failures:
+        assert failure.kind == "poison"
+        assert failure.attempts == 2
+        assert [d["exit_code"] for d in failure.detail] == [-9, -9]
 
 
 # ---------------------------------------------------------------------------

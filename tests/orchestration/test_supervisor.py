@@ -1,13 +1,12 @@
-"""Supervised execution: watchdog, retry, quarantine, exit-code taxonomy.
+"""Supervised execution: deadlines, retries, quarantine, exit-code taxonomy.
 
-These tests spawn real child processes (the supervisor's unit of isolation
-is a process -- a hung engine cannot be un-hung from inside).  Runs are kept
-tiny and deadlines tight so the suite stays fast.
+Supervision runs on the fleet's lease-claiming workers, so these tests
+spawn real worker processes through :func:`run_fleet` (a hung engine cannot
+be un-hung from inside; a chaos kill takes its worker with it).  Runs are
+kept tiny and deadlines tight so the suite stays fast.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -16,18 +15,19 @@ from repro.orchestration import (
     ChaosConfig,
     ResultCache,
     RunFailure,
-    SupervisorPolicy,
     CheckpointPolicy,
     execute_request,
     failures_path,
+    ledger_verdict,
     load_failures,
+    load_quarantine,
     quarantine_report,
-    run_supervised,
-    run_supervised_batch,
+    run_fleet,
+    run_worker,
     sweep_exit_code,
     write_failures,
 )
-from repro.orchestration.request import RunRecord, RunRequest, canonical_json
+from repro.orchestration.request import RunRequest, canonical_json
 
 REQUEST = RunRequest(scenario="als_streaming", mode="als", cycles=120)
 
@@ -51,24 +51,50 @@ def _canonical(record):
     return canonical_json(record.as_dict())
 
 
+def supervise(requests, root, **options):
+    """Run ``requests`` on a one-worker fleet: ``(records, failures, stats)``."""
+    options.setdefault("workers", 1)
+    records, stats = run_fleet(requests, root, poll_interval=0.05, **options)
+    return records, load_quarantine(root, stats.sweep_id), stats
+
+
+def supervise_one(request, root, **options):
+    """One supervised request: its record, or its :class:`RunFailure`."""
+    records, failures, _ = supervise([request], root, **options)
+    return records[0] if records else failures[0]
+
+
 # ---------------------------------------------------------------------------
-# Policy and failure record plumbing (no child processes).
+# Policy, verdict and failure record plumbing (no worker processes).
 # ---------------------------------------------------------------------------
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SupervisorPolicy(deadline=0)
-    with pytest.raises(ValueError):
-        SupervisorPolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        SupervisorPolicy(poll_interval=0)
+def test_policy_validation(tmp_path):
+    with pytest.raises(ValueError, match="deadline"):
+        run_fleet([KILLABLE], tmp_path, workers=0, deadline=0)
+    with pytest.raises(ValueError, match="max_retries"):
+        run_fleet([KILLABLE], tmp_path, workers=0, max_retries=-1)
+    with pytest.raises(ValueError, match="deadline"):
+        run_worker(tmp_path, requests=[KILLABLE], deadline=-1.0)
 
 
-def test_policy_backoff_is_exponential_and_capped():
-    policy = SupervisorPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
-    assert policy.backoff(1) == pytest.approx(0.1)
-    assert policy.backoff(2) == pytest.approx(0.2)
-    assert policy.backoff(10) == pytest.approx(0.5)  # capped
+def test_ledger_verdict_is_the_one_retry_policy():
+    killed = {"status": None, "exit_code": -9, "last_committed": None, "error": None}
+    # Retries left: run again.
+    assert ledger_verdict(KILLABLE, [], max_retries=2) is None
+    assert ledger_verdict(KILLABLE, [killed] * 2, max_retries=2) is None
+    # 1 + max_retries attempts: poison; a status-less attempt counts as crash.
+    poison = ledger_verdict(KILLABLE, [killed] * 3, max_retries=2)
+    assert poison.kind == "poison" and poison.attempts == 3
+    assert [d["attempt"] for d in poison.detail] == [0, 1, 2]
+    assert {d["status"] for d in poison.detail} == {"crash"}
+    assert poison.message == "crash after 3 attempt(s)"
+    # Zero retries keeps the underlying kind.
+    timeout = dict(killed, status="timeout", last_committed=40)
+    assert ledger_verdict(KILLABLE, [timeout], max_retries=0).kind == "timeout"
+    # Degraded is final at once; the attempt's error becomes the message.
+    degraded = dict(killed, status="degraded", exit_code=None, error="gave up")
+    verdict = ledger_verdict(DEGRADING, [degraded], max_retries=5)
+    assert verdict.kind == "degraded" and verdict.message == "gave up"
 
 
 def test_run_failure_roundtrip_and_exit_codes():
@@ -142,37 +168,32 @@ def test_failures_sidecar_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Supervised execution (child processes).
+# Supervised execution (fleet worker processes).
 # ---------------------------------------------------------------------------
 
 def test_supervised_success_matches_plain_execution(tmp_path):
-    outcome = run_supervised(REQUEST, tmp_path)
-    assert isinstance(outcome, RunRecord)
+    outcome = supervise_one(REQUEST, tmp_path)
+    assert not isinstance(outcome, RunFailure)
     assert _canonical(outcome) == _canonical(execute_request(REQUEST))
 
 
 def test_supervised_retry_resumes_after_chaos_kill(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0)  # SIGKILL mid-run, once
-    outcome = run_supervised(
-        KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(checkpoint=CheckpointPolicy(every_cycles=25)),
+    records, failures, stats = supervise(
+        [KILLABLE],
+        tmp_path,
+        checkpoint=CheckpointPolicy(every_cycles=25),
         chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
     )
-    assert isinstance(outcome, RunRecord)
-    assert _canonical(outcome) == _canonical(execute_request(KILLABLE))
+    assert not failures
+    assert [_canonical(r) for r in records] == [_canonical(execute_request(KILLABLE))]
+    assert stats.restarts == 1
+    assert sum(w.resumed for w in stats.workers) == 1  # from the snapshot
 
 
 def test_supervised_poison_after_exhausted_retries(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0, once=False)  # every attempt
-    outcome = run_supervised(
-        KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(max_retries=2),
-        chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
-    )
+    outcome = supervise_one(KILLABLE, tmp_path, chaos=chaos, max_retries=2)
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "poison"
     assert outcome.attempts == 3
@@ -183,13 +204,7 @@ def test_supervised_poison_after_exhausted_retries(tmp_path):
 
 def test_supervised_zero_retries_keeps_underlying_kind(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0, once=False)
-    outcome = run_supervised(
-        KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(max_retries=0),
-        chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
-    )
+    outcome = supervise_one(KILLABLE, tmp_path, chaos=chaos, max_retries=0)
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "crash"  # not escalated to poison: no retry burned
     assert outcome.attempts == 1
@@ -199,24 +214,19 @@ def test_supervised_timeout_kills_a_hung_run(tmp_path):
     chaos = ChaosConfig(
         seed=0, hang_probability=1.0, hang_seconds=60.0, once=False
     )
-    outcome = run_supervised(
-        KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(deadline=1.5, max_retries=1),
-        chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
+    outcome = supervise_one(
+        KILLABLE, tmp_path, chaos=chaos, deadline=1.5, max_retries=1
     )
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "poison"  # retried, hung again, quarantined
     assert all(d["status"] == "timeout" for d in outcome.detail)
-    # The heartbeat told the watchdog how far the hung run got.
-    assert any(d["last_committed"] is not None for d in outcome.detail)
+    assert all(d["exit_code"] == -9 for d in outcome.detail)  # self-SIGKILL
+    # The worker recorded how far the hung run got.
+    assert all(d["last_committed"] is not None for d in outcome.detail)
 
 
 def test_supervised_degradation_is_never_retried(tmp_path):
-    outcome = run_supervised(
-        DEGRADING, tmp_path, policy=SupervisorPolicy(max_retries=3)
-    )
+    outcome = supervise_one(DEGRADING, tmp_path, max_retries=3)
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "degraded"
     assert outcome.attempts == 1  # deterministic: retrying cannot help
@@ -228,12 +238,8 @@ def test_supervised_failure_record_is_deterministic(tmp_path):
     chaos = ChaosConfig(seed=3, kill_probability=1.0, once=False)
 
     def quarantine(subdir):
-        outcome = run_supervised(
-            KILLABLE,
-            tmp_path / subdir / "snaps",
-            policy=SupervisorPolicy(max_retries=1),
-            chaos=chaos,
-            chaos_state_dir=tmp_path / subdir / "chaos",
+        outcome = supervise_one(
+            KILLABLE, tmp_path / subdir, chaos=chaos, max_retries=1
         )
         assert isinstance(outcome, RunFailure)
         return canonical_json(outcome.as_dict())
@@ -242,14 +248,14 @@ def test_supervised_failure_record_is_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Batch supervision.
+# Grids.
 # ---------------------------------------------------------------------------
 
 def test_batch_partitions_grid_into_records_and_failures(tmp_path):
     healthy = RunRequest(scenario="single_master", mode="conservative", cycles=80)
     requests = [healthy, DEGRADING, REQUEST]
-    records, failures = run_supervised_batch(
-        requests, tmp_path, policy=SupervisorPolicy(max_retries=1), jobs=2
+    records, failures, _ = supervise(
+        requests, tmp_path, workers=2, max_retries=1
     )
     assert [r.request_id for r in records] == [
         healthy.request_id, REQUEST.request_id
@@ -261,15 +267,14 @@ def test_batch_partitions_grid_into_records_and_failures(tmp_path):
 
 
 def test_batch_cache_hits_bypass_supervision_and_fresh_runs_fill_it(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultCache(tmp_path)
     warm = execute_request(REQUEST)
     cache.put(warm)
-    hits_before = cache.stats.hits
-    records, failures = run_supervised_batch([REQUEST], tmp_path / "snaps", cache=cache)
+    records, failures, stats = supervise([REQUEST], tmp_path)
     assert not failures
-    assert cache.stats.hits == hits_before + 1
+    assert stats.total("executed") == 0
     assert _canonical(records[0]) == _canonical(warm)
 
     other = RunRequest(scenario="single_master", mode="conservative", cycles=80)
-    records, _ = run_supervised_batch([other], tmp_path / "snaps", cache=cache)
-    assert cache.get(other) is not None  # fresh success written back
+    supervise([other], tmp_path)
+    assert ResultCache(tmp_path).get(other) is not None  # fresh success cached

@@ -14,7 +14,6 @@ point captures all of it or the bytes would differ.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.orchestration import failures_path
 
 
 def run_cli(capsys, *argv):
@@ -529,7 +530,6 @@ def test_sweep_supervised_chaos_kill_retried_to_identical_bytes(capsys, tmp_path
     report = tmp_path / "quarantine.json"
     code = main(argv + [
         "--output", str(tmp_path / "chaos.jsonl"),
-        "--snapshot-dir", str(tmp_path / "snaps"),
         "--checkpoint-every", "30", "--deadline", "60",
         "--chaos-seed", "11", "--chaos-kill", "0.45",
         "--quarantine-report", str(report),
@@ -553,7 +553,6 @@ def test_sweep_poison_exits_12_with_sidecar_and_report(capsys, tmp_path):
         "sweep", "--scenarios", "single_master", "als_streaming",
         "--modes", "conservative", "--cycles", "150",
         "--output", str(tmp_path / "runs.jsonl"),
-        "--snapshot-dir", str(tmp_path / "snaps"),
         "--deadline", "60", "--max-retries", "1",
         "--chaos-seed", "11", "--chaos-kill", "0.45", "--chaos-every-attempt",
         "--quarantine-report", str(report),
@@ -581,7 +580,6 @@ def test_sweep_timeout_exits_10(capsys, tmp_path):
         "--chaos-seed", "0", "--chaos-kill", "0.0",
         "--chaos-hang", "1.0", "--chaos-hang-seconds", "30",
         "--chaos-every-attempt",
-        "--snapshot-dir", str(tmp_path / "snaps"),
     ])
     captured = capsys.readouterr()
     assert code == 10
@@ -598,23 +596,49 @@ def test_sweep_resume_rejects_supervision(capsys, tmp_path):
     assert "--resume cannot combine" in capsys.readouterr().err
 
 
-def test_sweep_fleet_rejects_deadline(capsys, tmp_path):
+def test_sweep_fleet_deadline_exits_10_on_a_hang(capsys, tmp_path):
     code = main([
-        "sweep", "--scenarios", "single_master", "--cycles", "60",
-        "--fleet", "1", "--cache", str(tmp_path / "cache"), "--deadline", "5",
+        "sweep", "--scenarios", "single_master", "--modes", "conservative",
+        "--cycles", "150", "--fleet", "1", "--cache", str(tmp_path / "cache"),
+        "--deadline", "1.0", "--max-retries", "0",
+        "--chaos-hang", "1.0", "--chaos-hang-seconds", "30",
+        "--chaos-every-attempt",
     ])
-    assert code == 1
-    assert "--fleet-ttl" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert code == 10
+    assert "timeout" in captured.err
+
+
+def test_sweep_every_attempt_poison_is_executor_independent(capsys, tmp_path):
+    """The same poison grid gives the same verdict and sidecar bytes on an
+    explicit fleet and on the supervised --jobs path."""
+    argv = [
+        "sweep", "--scenarios", "single_master", "als_streaming",
+        "--modes", "conservative", "--cycles", "150",
+        "--checkpoint-every", "30", "--max-retries", "1",
+        "--chaos-seed", "11", "--chaos-kill", "1.0", "--chaos-every-attempt",
+    ]
+    fleet = tmp_path / "fleet.jsonl"
+    jobs = tmp_path / "jobs.jsonl"
+    assert main(argv + ["--fleet", "1", "--cache", str(tmp_path / "cache"),
+                        "--output", str(fleet)]) == 12
+    assert main(argv + ["--jobs", "2", "--output", str(jobs)]) == 12
+    assert "executed locally" not in capsys.readouterr().err
+    sidecar = failures_path(fleet).read_bytes()
+    assert sidecar == failures_path(jobs).read_bytes()
+    assert sidecar.count(b'"kind":"poison"') == 2
 
 
 def test_worker_parser_accepts_durability_flags():
     args = build_parser().parse_args([
         "worker", "--cache", "somewhere", "--drain-on-signal",
-        "--checkpoint-every", "500", "--max-retries", "3",
+        "--checkpoint-every", "500", "--max-retries", "3", "--deadline", "30",
     ])
     assert args.drain_on_signal is True
     assert args.checkpoint_every == 500
     assert args.max_retries == 3
+    assert args.deadline == 30.0
     defaults = build_parser().parse_args(["worker", "--cache", "somewhere"])
     assert defaults.drain_on_signal is False
     assert defaults.max_retries is None
+    assert defaults.deadline is None
