@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from ..sim.component import ClockedComponent, Domain
+from ..sim.component import ClockedComponent, Domain, regrow
 from .arbiter import Arbiter, ArbitrationPolicy, FixedPriorityPolicy, RoundRobinPolicy
 from .bus import AhbBusCore, DataPhaseInfo, DriveValues
 from .decoder import AddressDecoder
@@ -752,13 +752,17 @@ class HalfBusModel(ClockedComponent):
         if self.monitor is not None and state.get("monitor") is not None:
             self.monitor.restore(state["monitor"])
 
-    def _trim_records(self, n_records: int) -> None:
+    def _trim_records(self, n_records: int) -> List[BusCycleRecord]:
         # Drop the speculative records from the right; records that aged out
         # of the bounded history were committed long ago and stay dropped.
+        # Returns the dropped records, oldest first.
+        dropped = []
         while self._records_committed > n_records and self.records:
-            self.records.pop()
+            dropped.append(self.records.pop())
             self._records_committed -= 1
         self._records_committed = n_records
+        dropped.reverse()
+        return dropped
 
     # -- checkpoint windows -------------------------------------------------------
     # Slaves checkpoint through their own windows (memories journal their
@@ -769,7 +773,10 @@ class HalfBusModel(ClockedComponent):
         assert self.core is not None
         return {
             "core": self.core.snapshot(),
-            "masters": {mid: m.snapshot_state() for mid, m in self.local_masters.items()},
+            "masters": {
+                mid: master.open_checkpoint_window()
+                for mid, master in self.local_masters.items()
+            },
             "slaves": {
                 sid: slave.open_checkpoint_window() for sid, slave in self.local_slaves.items()
             },
@@ -779,21 +786,86 @@ class HalfBusModel(ClockedComponent):
             "monitor": None if self.monitor is None else self.monitor.snapshot(),
         }
 
-    def rewind_checkpoint_window(self, token: dict) -> None:
-        assert self.core is not None
+    def rewind_checkpoint_window(self, token: dict, redo: bool = False) -> Optional[dict]:
+        core = self.core
+        assert core is not None
+        monitor = self.monitor
+        state = None
+        if redo:
+            # The append-only histories (records, beats, violations) are
+            # truncated by the rewind, so the redo token keeps what it drops.
+            recorder_base = token["recorder"]["n_beats"]
+            state = {
+                "core": core.snapshot(),
+                "n_records": self._records_committed,
+                "beats_base": recorder_base,
+                "beats": self.recorder.beats[recorder_base:],
+                "interrupts": dict(self.interrupt_outputs),
+                "monitor": None if monitor is None else monitor.snapshot(),
+                "violations": (
+                    None if monitor is None
+                    else monitor.violations[token["monitor"]["n_violations"]:]
+                ),
+            }
         self._needed_cache = None
-        self.core.restore(token["core"])
-        for mid, m_state in token["masters"].items():
-            self.local_masters[mid].restore_state(m_state)
-        for sid, s_token in token["slaves"].items():
-            self.local_slaves[sid].rewind_checkpoint_window(s_token)
+        core.restore(token["core"])
+        masters = {
+            mid: self.local_masters[mid].rewind_checkpoint_window(m_token, redo=redo)
+            for mid, m_token in token["masters"].items()
+        }
+        slaves = {
+            sid: self.local_slaves[sid].rewind_checkpoint_window(s_token, redo=redo)
+            for sid, s_token in token["slaves"].items()
+        }
         self.recorder.restore(token["recorder"])
-        self._trim_records(token["n_records"])
+        records = self._trim_records(token["n_records"])
         self.interrupt_outputs = dict(token["interrupts"])
-        if self.monitor is not None and token.get("monitor") is not None:
-            self.monitor.restore(token["monitor"])
+        if monitor is not None and token.get("monitor") is not None:
+            monitor.restore(token["monitor"])
+        if state is not None:
+            state.update(masters=masters, slaves=slaves, records=records)
+        return state
+
+    def redo_checkpoint_window(self, state: dict) -> None:
+        """Jump forward to the discarded run-ahead end state (see
+        :meth:`~repro.sim.component.ClockedComponent.redo_checkpoint_window`).
+
+        Registered state is restored from the redo snapshot; the truncated
+        histories get back the entries past the re-executed prefix.  The
+        transaction recorder re-records those beats instead, because its
+        rewind also drops the open bursts.
+        """
+        core = self.core
+        assert core is not None
+        self._needed_cache = None
+        core.restore(state["core"])
+        for mid, m_state in state["masters"].items():
+            self.local_masters[mid].redo_checkpoint_window(m_state)
+        for sid, s_state in state["slaves"].items():
+            self.local_slaves[sid].redo_checkpoint_window(s_state)
+        recorder = self.recorder
+        beats = state["beats"]
+        for beat in beats[len(recorder.beats) - state["beats_base"]:]:
+            recorder.record_beat(beat)
+        records = self.records
+        n_records = state["n_records"]
+        regrow(records, state["records"], len(records) + n_records - self._records_committed)
+        self._records_committed = n_records
+        self.interrupt_outputs = dict(state["interrupts"])
+        monitor = self.monitor
+        if monitor is not None and state["monitor"] is not None:
+            monitor.restore(state["monitor"])
+            regrow(monitor.violations, state["violations"], state["monitor"]["n_violations"])
+
+    @staticmethod
+    def redo_records(state: dict) -> List[BusCycleRecord]:
+        """The cycle records a ``rewind_checkpoint_window(redo=True)``
+        discarded, oldest first (one per run-ahead cycle)."""
+        return state["records"]
 
     def close_checkpoint_window(self, token: dict) -> None:
+        for mid, m_token in token["masters"].items():
+            self.local_masters[mid].close_checkpoint_window(m_token)
         for sid, s_token in token["slaves"].items():
             self.local_slaves[sid].close_checkpoint_window(s_token)
 

@@ -16,7 +16,7 @@ from abc import abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..sim.component import AbstractionLevel, ClockedComponent
+from ..sim.component import AbstractionLevel, ClockedComponent, regrow
 from .burst import BurstTracker, next_beat_address
 from .signals import AddressPhase, AhbError, DataPhaseResult, HResp, HTrans
 from .transaction import BusTransaction, CompletedTransaction
@@ -462,6 +462,20 @@ class TrafficMaster(AhbMaster):
             "aborted": sorted(self._aborted_txns),
             "stats": self.stats.as_dict(),
         }
+
+    def rewind_checkpoint_window(self, token: dict, redo: bool = False) -> Optional[dict]:
+        state = None
+        if redo:
+            # restore_state only truncates the append-only completed list, so
+            # the redo token also carries the entries this rewind drops.
+            state = self.snapshot_state()
+            state["completed_tail"] = self._completed[token["n_completed"]:]
+        self.restore_state(token)
+        return state
+
+    def redo_checkpoint_window(self, state: dict) -> None:
+        self.restore_state(state)
+        regrow(self._completed, state["completed_tail"], state["n_completed"])
 
     def restore_state(self, state: dict) -> None:
         self._next_txn_index = state["next_txn_index"]

@@ -210,18 +210,44 @@ class MemorySlave(AhbSlave):
             "stats": self.stats.as_dict(),
         }
 
-    def rewind_checkpoint_window(self, token: dict) -> None:
+    def rewind_checkpoint_window(self, token: dict, redo: bool = False) -> Optional[dict]:
         """Undo every write since :meth:`open_checkpoint_window` (reverse
-        delta) and restore the scalar sidecar; the window is closed."""
+        delta) and restore the scalar sidecar; the window is closed.
+
+        The redo token holds only the journalled words' current values (every
+        other word is unchanged since the window opened) plus the sidecar.
+        """
         undo = self._undo
         if undo is None:
             raise AhbError(f"memory {self.name!r}: no checkpoint window open")
         words = self._words
+        state = None
+        if redo:
+            state = {
+                "words": {index: words[index] for index in undo},
+                "wait_remaining": self._wait_remaining,
+                "stats": self.stats.as_dict(),
+            }
         for index, value in undo.items():
             words[index] = value
         self._undo = None
         self._wait_remaining = token["wait_remaining"]
         self.stats = SlaveStats(**token["stats"])
+        return state
+
+    def redo_checkpoint_window(self, state: dict) -> None:
+        """Write the discarded words back, journalling each changed word into
+        the open window (a later rewind still returns to its start)."""
+        undo = self._undo
+        words = self._words
+        for index, value in state["words"].items():
+            current = words[index]
+            if current != value:
+                if undo is not None and index not in undo:
+                    undo[index] = current
+                words[index] = value
+        self._wait_remaining = state["wait_remaining"]
+        self.stats = SlaveStats(**state["stats"])
 
     def close_checkpoint_window(self, token: dict) -> None:
         """Drop the journal, keeping the current state (window committed)."""

@@ -127,12 +127,14 @@ class DomainHost:
         self.clock.mark()
         return self.checkpoints.store(self.clock.cycle, label=label)
 
-    def restore_checkpoint(self) -> Checkpoint:
+    def restore_checkpoint(self, redo: bool = False) -> Checkpoint:
         """Restore leader state (``rb_restore``); charges Trestore and rewinds
-        the domain clock to the checkpointed cycle."""
+        the domain clock to the checkpointed cycle.  ``redo`` keeps the
+        discarded state's redo tokens in the returned checkpoint (host-only,
+        see :meth:`CheckpointManager.restore`)."""
         restore_time = self.checkpoints.last_restore_time()
         self.ledger.charge("state_restore", restore_time)
-        checkpoint = self.checkpoints.restore()
+        checkpoint = self.checkpoints.restore(redo=redo)
         self.clock.rollback_to(checkpoint.cycle)
         self.clock.pop_mark()
         return checkpoint

@@ -27,6 +27,24 @@ paper's Table 1:
 Relation to the transition steps (Table 1): RA = leader on P-path while the
 lagger sits on L/R/C; FU = leader on S-path, lagger on L-path; RB = the state
 restore triggered from the S-path; RF = leader on F-path.
+
+On a misprediction at LOB index *f*, RB restores the transition-start
+checkpoint and RF re-executes cycles 0..*f*; the run-ahead cycles *f*+1..
+are discarded.  The host then re-uses them where it can (Time Warp's *lazy
+re-evaluation*: Jefferson, "Virtual Time", TOPLAS 1985; Gafni 1988).  When
+the lagger's actual values at *f* are exactly the predicted ones -- the
+usual case for an injected failure -- RF leaves the leader in the state it
+had after run-ahead cycle *f*, so RB keeps the discarded tail (its LOB
+entries, the ``NeededFields`` each was predicted under, and a redo token of
+the leader's half bus).  If the next transition has the same leader and its
+conservative first cycle commits exactly what tail cycle *f*+1 committed,
+its run-ahead adopts the tail's remaining cycles instead of re-running them:
+each still calls ``predict`` / ``observe`` (so RNG draws, prediction
+statistics and predictor state are today's) and is charged like a computed
+cycle, and the half bus then jumps to the tail's end state.  Anything else
+drops the tail.  This is host work only: every modelled quantity, path trace
+entry and ``RunRecord`` byte is the same as without it
+(:attr:`OptimisticCoEmulation.lazy_reevaluation` switches it off).
 """
 
 from __future__ import annotations
@@ -39,6 +57,7 @@ from ..ahb.bus import DriveValues
 from ..ahb.half_bus import (
     _NO_INTERRUPTS,
     BoundaryDrive,
+    NeededFields,
     drives_functionally_equal,
     merge_boundary_drives,
 )
@@ -99,6 +118,42 @@ class OptimisticRunTrace:
         return [entry.path for entry in self.entries if entry.domain is domain]
 
 
+@dataclass
+class LazyReevaluationStats:
+    """Host-side counters of the run-ahead tail re-use (never in results)."""
+
+    tails_kept: int = 0
+    tails_adopted: int = 0
+    cycles_adopted: int = 0
+
+
+@dataclass
+class _RunAheadTail:
+    """The run-ahead cycles *f*+1.. discarded by a rollback at index *f*.
+
+    ``entries`` / ``needed`` start at cycle *f*+1; ``redo`` is the leader half
+    bus's redo token (its state at the end of the run-ahead).
+    """
+
+    leader: Domain
+    entries: List[LobEntry]
+    needed: List[NeededFields]
+    redo: dict
+    first_record: BusCycleRecord
+
+
+def _same_commit(a: BusCycleRecord, b: BusCycleRecord) -> bool:
+    """Did two cycle records commit exactly the same bus values?"""
+    return (
+        a.granted_master == b.granted_master
+        and a.address_phase == b.address_phase
+        and a.data_phase == b.data_phase
+        and a.hwdata == b.hwdata
+        and a.response == b.response
+        and a.requests == b.requests
+    )
+
+
 @register_engine(
     "als_trace",
     fast_paths=(QUIESCENCE_SKIP, PERIODIC_REPLAY),
@@ -141,7 +196,15 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
     per-cycle).  Periodic replay never engages here: conservative cycles
     train the predictors every cycle, so the controller refuses with a
     single ``predictor_training`` bailout and only reports its counters.
+
+    Lazy re-evaluation (see the module docstring) is on in every preset;
+    the class attribute below switches it off, which leaves exactly the
+    scalar rollback path the equivalence tests compare against.
     """
+
+    #: Keep the run-ahead tail a rollback discards and adopt it in the next
+    #: transition when that provably recomputes the same cycles.
+    lazy_reevaluation = True
 
     def __init__(
         self,
@@ -159,6 +222,10 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         self.policy = policy_for_mode(config.mode, topology=self.topology)
         self.lob = LeaderOutputBuffer(config.lob_depth)
         self.trace = OptimisticRunTrace(enabled=trace_paths)
+        #: The tail kept by the last rollback, pending until the next
+        #: transition start adopts or drops it.
+        self._tail: Optional[_RunAheadTail] = None
+        self.lazy_stats = LazyReevaluationStats()
 
     # -- top level -----------------------------------------------------------------
     def run(self) -> CoEmulationResult:
@@ -170,6 +237,7 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
                 break
             decision = self._decide_mode()
             if not decision.optimistic:
+                self._tail = None
                 self._traced_conservative_cycle()
                 continue
             leader = self.host_for(decision.leader)
@@ -218,10 +286,13 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         self.run_conservative_cycle()
         remaining -= 1
         leader.store_checkpoint(label=f"transition_{record.index}")
+        tail, self._tail = self._tail, None
+        if tail is not None and not self._tail_continues(tail, leader):
+            tail = None
 
         # Run-Ahead step: leader proceeds, predicting the laggers' values.
         run_ahead_budget = min(self.config.lob_depth, max(remaining, 0))
-        entries = self._run_ahead(leader, predictor, record, run_ahead_budget)
+        entries, needed = self._run_ahead(leader, predictor, record, run_ahead_budget, tail)
         if not entries:
             # Degenerate transition: the leader could not predict even one
             # cycle.  The state store was wasted overhead (paper footnote 6).
@@ -248,6 +319,7 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
                 laggers,
                 record,
                 entries,
+                needed,
                 failure_index,
                 failure_reason,
                 injected,
@@ -257,13 +329,33 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         return record
 
     # -- RA step ------------------------------------------------------------------------------
+    def _tail_continues(self, tail: _RunAheadTail, leader: DomainHost) -> bool:
+        """Does this transition recompute the kept tail exactly?
+
+        It must have the same leader and start at the tail's first cycle, and
+        its conservative first cycle must have fed the leader the same commit
+        values (requests, address phase, write data, response: the committed
+        cycle record) as that tail cycle did.  Interrupts never reach the bus
+        commit, only the predictor's memory, so that memory is compared with
+        the one the tail's next prediction was made from.
+        """
+        if tail.leader is not leader.domain or tail.entries[1].cycle != leader.current_cycle:
+            return False
+        if not _same_commit(leader.hbm.records[-1], tail.first_record):
+            return False
+        remembered = leader.predictor._last_interrupts or None
+        return remembered == tail.entries[1].prediction.interrupts
+
     def _run_ahead(
         self,
         leader: DomainHost,
         predictor,
         record: TransitionRecord,
         budget: int,
-    ) -> List[LobEntry]:
+        tail: Optional[_RunAheadTail] = None,
+    ) -> tuple[List[LobEntry], List[NeededFields]]:
+        """Run the leader ahead; returns the flushed LOB entries and the
+        ``NeededFields`` each entry was predicted under."""
         ra_cycles = 0
         # Hot loop: bind the per-cycle collaborators once (every attribute
         # lookup in here runs tens of thousands of times per second), and
@@ -273,6 +365,8 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         lob = self.lob
         entries: List[LobEntry] = []
         entries_append = entries.append
+        needs: List[NeededFields] = []
+        needs_append = needs.append
         hbm = leader.hbm
         needed_fields = hbm.needed_fields
         can_predict = predictor.can_predict
@@ -298,6 +392,36 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         # comes first.
         depth = lob.depth
         limit = budget if budget < depth else depth
+        # Lazy re-evaluation: adopt the kept tail's cycles f+2.. (f+1 was this
+        # transition's conservative first cycle).  Only a whole tail is
+        # adopted -- the redo token reaches its end state, nothing between.
+        if tail is not None and len(tail.entries) - 1 <= limit:
+            for entry, needed in zip(tail.entries[1:], tail.needed[1:]):
+                assert can_predict(needed)
+                prediction = predict(cycle, needed)
+                assert prediction.same_values(entry.prediction), (
+                    f"lazy re-evaluation: cycle {cycle} predicted differently"
+                )
+                remote_drive, remote_response = prediction.as_boundary_values(cycle)
+                bucket_acc += seconds_per_cycle
+                observe(remote_drive, remote_response)
+                entries_append(
+                    LobEntry(
+                        cycle=cycle,
+                        leader_drive=entry.leader_drive,
+                        leader_response=entry.leader_response,
+                        prediction=prediction,
+                    )
+                )
+                needs_append(needed)
+                if trace is not None:
+                    trace.record(leader.domain, cycle, CwPath.PREDICTION)
+                cycle += 1
+            ra_cycles = len(entries)
+            hbm.redo_checkpoint_window(tail.redo)
+            stats = self.lazy_stats
+            stats.tails_adopted += 1
+            stats.cycles_adopted += ra_cycles
         while ra_cycles < limit:
             needed = needed_fields()
             if not can_predict(needed):
@@ -313,9 +437,11 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
                 ):
                     # One batched charge replicating k sequential += adds.
                     bucket_acc = repeat_add(bucket_acc, seconds_per_cycle, k)
+                    needs.extend([needed] * k)
                     cycle += k
                     ra_cycles += k
                     continue
+            needs_append(needed)
             prediction = predict(cycle, needed)
             remote_drive, remote_response = prediction.as_boundary_values(cycle)
             local_drive, local_response, _ = run_cycle(cycle, remote_drive, remote_response)
@@ -341,9 +467,9 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         execution.cycles_charged += ra_cycles
         record.run_ahead_cycles = ra_cycles
         if not ra_cycles:
-            return []
+            return [], needs
         lob.adopt(entries)
-        return lob.flush()
+        return lob.flush(), needs
 
     def _run_ahead_idle_segment(
         self,
@@ -883,6 +1009,7 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         laggers: List[DomainHost],
         record: TransitionRecord,
         entries: List[LobEntry],
+        needed: List[NeededFields],
         failure_index: int,
         failure_reason: str,
         injected: bool,
@@ -891,6 +1018,14 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
     ) -> None:
         predictor = leader.predictor
         assert predictor is not None
+        # Keep the run-ahead tail (cycles f+1..) when the actual values at f
+        # are exactly the predicted ones: RF then leaves the leader where
+        # run-ahead cycle f did.  A tail of one cycle has nothing to adopt.
+        keep = (
+            self.lazy_reevaluation
+            and failure_index + 2 < len(entries)
+            and entries[failure_index].prediction.equals_actual(actual_drive, actual_response)
+        )
         # L-5 / L-6: each lagger reports the prediction failure together with
         # the actual values for the failed cycle (one channel access per sync
         # channel; with several laggers the merged report is a conservative
@@ -910,7 +1045,7 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
             # shipped stay shipped -- the gate state is never rolled back).
             self._last_broadcast[leader.domain] = entries[failure_index].leader_drive
             self._quiet_until[leader.domain] = -1.0
-        leader.restore_checkpoint()
+        checkpoint = leader.restore_checkpoint(redo=keep)
         # RF step (F-path): the leader re-executes the cycles the lagger has
         # already committed.  For the validated prefix the (correct)
         # predictions are re-used; the failed cycle uses the actual values
@@ -925,6 +1060,17 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
             predictor.observe(remote_drive, remote_response)
             self.trace.record(leader.domain, entry.cycle, CwPath.ROLL_FORTH)
         committed = failure_index + 1
+        if keep:
+            hbm = leader.hbm
+            redo = checkpoint.redo[hbm.name]
+            self._tail = _RunAheadTail(
+                leader=leader.domain,
+                entries=entries[committed:],
+                needed=needed[committed:],
+                redo=redo,
+                first_record=hbm.redo_records(redo)[committed],
+            )
+            self.lazy_stats.tails_kept += 1
         self.ledger.commit_cycles(committed)
         record.committed_cycles = committed
         record.roll_forth_cycles = committed

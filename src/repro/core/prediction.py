@@ -112,6 +112,39 @@ class PredictionRecord:
                 )
         return True, ""
 
+    def same_values(self, other: "PredictionRecord") -> bool:
+        """True when both records predict exactly the same values (the cycle
+        stamp and the forced-failure flag are ignored)."""
+        return (
+            self.requests == other.requests
+            and self.address_phase == other.address_phase
+            and self.hwdata == other.hwdata
+            and self.response == other.response
+            and self.interrupts == other.interrupts
+        )
+
+    def equals_actual(
+        self,
+        actual_drive: BoundaryDrive,
+        actual_response: Optional[DataPhaseResult],
+    ) -> bool:
+        """Strict test: are the actual values exactly what the leader consumed?
+
+        Unlike :meth:`check` this ignores ``forced_failure`` and compares every
+        field the leader's merge reads, inactive address phases included, so a
+        ``True`` means a cycle run on the actual values is identical to the
+        one run on the prediction.
+        """
+        requests = self.requests if self.requests is not None else _EMPTY_REQUESTS
+        interrupts = self.interrupts if self.interrupts is not None else _EMPTY_INTERRUPTS
+        return (
+            requests == actual_drive.requests
+            and self.address_phase == actual_drive.address_phase
+            and self.hwdata == actual_drive.hwdata
+            and interrupts == actual_drive.interrupts
+            and self.response == actual_response
+        )
+
     def as_boundary_values(
         self, cycle: int
     ) -> tuple[BoundaryDrive, Optional[DataPhaseResult]]:

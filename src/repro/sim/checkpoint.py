@@ -20,6 +20,14 @@ O(1) on the host and a rollback costs O(state touched).
 The protocol needs exactly one outstanding checkpoint: the leader stores at
 the start of each transition and either discards or restores it before the
 next.  A second store while one is outstanding is a :class:`CheckpointError`.
+A restore may additionally ask each window for a *redo token* -- the state
+the rewind discards (``restore(redo=True)``).  That is not a second
+checkpoint: it is host-only (no modelled cost, no :class:`CheckpointStats`
+entry) and lets the optimistic engine's lazy re-evaluation jump a
+re-executed component forward to the discarded run-ahead state later, via
+``redo_checkpoint_window`` inside the next transition's open window (see
+:mod:`repro.core.optimistic`).  Memories keep only their journalled words in
+it, never a full copy.
 
 The manager also counts rollback variables and charges store/restore time to
 the wall-clock ledger through a :class:`StateCostModel`; the modelled times
@@ -88,6 +96,8 @@ class Checkpoint:
     states: dict = field(default_factory=dict)
     n_variables: int = 0
     label: str = ""
+    #: Per-component redo tokens, set by ``restore(redo=True)`` only.
+    redo: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -223,11 +233,24 @@ class CheckpointManager:
         self._outstanding = None
         return checkpoint
 
-    def restore(self) -> Checkpoint:
-        """Rewind every component to the outstanding checkpoint (``rb_restore``)."""
+    def restore(self, redo: bool = False) -> Checkpoint:
+        """Rewind every component to the outstanding checkpoint (``rb_restore``).
+
+        With ``redo`` set, each component's redo token (the state the rewind
+        discards) lands in the returned checkpoint's ``redo`` map.  Capturing
+        it is host work only; the modelled restore cost is unchanged.
+        """
         checkpoint = self._take("restore")
-        for component in self.components:
-            component.rewind_checkpoint_window(checkpoint.states[component.name])
+        if redo:
+            checkpoint.redo = {
+                component.name: component.rewind_checkpoint_window(
+                    checkpoint.states[component.name], redo=True
+                )
+                for component in self.components
+            }
+        else:
+            for component in self.components:
+                component.rewind_checkpoint_window(checkpoint.states[component.name])
         self.stats.restores += 1
         self.stats.variables_restored += checkpoint.n_variables
         self.stats.restore_time += self.cost_model.restore_time(checkpoint.n_variables)

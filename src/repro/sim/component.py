@@ -143,10 +143,29 @@ class ClockedComponent(ABC):
         """
         return self.snapshot_state()
 
-    def rewind_checkpoint_window(self, token: Any) -> None:
+    def rewind_checkpoint_window(self, token: Any, redo: bool = False) -> Any:
         """Restore the state captured at :meth:`open_checkpoint_window` and
-        close the window (``rb_restore``)."""
+        close the window (``rb_restore``).
+
+        With ``redo`` set, the state being discarded is captured first and
+        returned as a *redo token* for :meth:`redo_checkpoint_window`;
+        otherwise the return value is ``None``.
+        """
+        state = self.snapshot_state() if redo else None
         self.restore_state(token)
+        return state
+
+    def redo_checkpoint_window(self, state: Any) -> None:
+        """Jump forward to the state a ``rewind_checkpoint_window(redo=True)``
+        discarded (host-only lazy re-evaluation).
+
+        Called inside a newer open window, once the component has re-executed
+        a prefix of the discarded cycles with identical inputs.  Every change
+        is journalled into that window, so rewinding it still returns to the
+        window's start.  The default restores the captured snapshot; the open
+        window's token is an owned snapshot of its own, so it is unaffected.
+        """
+        self.restore_state(state)
 
     def close_checkpoint_window(self, token: Any) -> None:
         """Close the window keeping the current state (checkpoint discarded
@@ -155,6 +174,18 @@ class ClockedComponent(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"
+
+
+def regrow(items, tail: list, length: int) -> None:
+    """Redo helper for an append-only history that a rewind truncated.
+
+    ``tail`` holds the entries the rewind dropped (oldest first) and
+    ``length`` the history's length before the rewind.  Re-execution has
+    re-appended an equal prefix of ``tail``; this appends the rest.
+    """
+    missing = length - len(items)
+    if missing > 0:
+        items.extend(tail[len(tail) - missing:])
 
 
 def _count_scalars(obj: Any) -> int:
@@ -246,10 +277,19 @@ class ComponentGroup(ClockedComponent):
             for component in self.components
         }
 
-    def rewind_checkpoint_window(self, token: dict) -> None:
+    def rewind_checkpoint_window(self, token: dict, redo: bool = False) -> Optional[dict]:
+        states = {}
         for component in self.components:
             if component.name in token:
-                component.rewind_checkpoint_window(token[component.name])
+                states[component.name] = component.rewind_checkpoint_window(
+                    token[component.name], redo=redo
+                )
+        return states if redo else None
+
+    def redo_checkpoint_window(self, state: dict) -> None:
+        for component in self.components:
+            if component.name in state:
+                component.redo_checkpoint_window(state[component.name])
 
     def close_checkpoint_window(self, token: dict) -> None:
         for component in self.components:

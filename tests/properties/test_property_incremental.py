@@ -157,6 +157,10 @@ def test_rollback_heavy_engine_run_is_bit_identical_under_both_schemes(seed, acc
         )
         engine = OptimisticCoEmulation(partition, config)
         if reference:
+            # The full-snapshot reference keeps no redo state, so it runs the
+            # plain rollback path (no run-ahead tail re-use); the window run
+            # re-uses tails, and both must still agree bit for bit.
+            engine.lazy_reevaluation = False
             for host in engine.hosts.values():
                 manager = host.checkpoints
                 manager.components = [FullSnapshot(c) for c in manager.components]

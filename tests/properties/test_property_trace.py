@@ -16,7 +16,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.faults import ChannelFaultConfig
+from repro.channel.faults import ChannelDegradedError, ChannelFaultConfig
 from repro.core import CoEmulationConfig, OperatingMode
 from repro.core.engine import create_engine
 from repro.workloads.catalog import accelerator_farm_4x_soc, sim_only_baseline_soc
@@ -164,8 +164,26 @@ def test_trace_replay_refuses_faulty_channels(
         )
         return spec
 
-    traced = assert_trace_bit_identical(factory, mode=mode, total_cycles=180)
-    assert not traced.trace_replay["enabled"]
+    # A lossy draw may legitimately degrade the link past its give-up
+    # threshold; the typed ChannelDegradedError is then the run's outcome,
+    # and both engines must reach the same one.
+    outcomes = []
+    for trace_replay in (False, True):
+        config, partition = factory().prepare_run(
+            CoEmulationConfig(mode=mode, total_cycles=180)
+        )
+        engine = None
+        if trace_replay:
+            conservative = config.mode is OperatingMode.CONSERVATIVE
+            engine = "conventional_trace" if conservative else "als_trace"
+        engine = create_engine(config, partition=partition, engine=engine)
+        try:
+            outcomes.append(full_digest(engine.run()))
+        except ChannelDegradedError as exc:
+            outcomes.append(("degraded", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    stats = engine.replay.stats
+    assert not stats.enabled
     # ALS engines refuse for predictor training before probing the channel.
     reason = "predictor_training" if mode is OperatingMode.ALS else "channel_faults"
-    assert traced.trace_replay["bailouts"] == {reason: 1}
+    assert stats.bailouts == {reason: 1}
