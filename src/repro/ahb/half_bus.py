@@ -410,21 +410,76 @@ class HalfBusModel(ClockedComponent):
                     break
         return horizon
 
+    def idle_drive(self, cycle: int) -> Optional[BoundaryDrive]:
+        """This domain's drive contribution at ``cycle`` if it is all idle.
+
+        The local half of the quiescence probe: every local bus request is
+        low and the granted master, when local, drives an inactive phase.
+        Returns ``None`` otherwise.  At the :meth:`idle_stationary` fixed
+        point the probe has no side effects (no component ticks, and parked
+        masters return interned idle phases without starting transactions).
+        """
+        requests = {mid: drive_req(cycle) for mid, drive_req in self._request_drivers}
+        if any(requests.values()):
+            return None
+        granted_master = self.local_masters.get(self.core.arbiter.current_grant)
+        phase = (
+            granted_master.drive_address_phase(cycle, granted=True)
+            if granted_master is not None
+            else None
+        )
+        if phase is not None and phase.is_active:
+            return None
+        return BoundaryDrive(
+            cycle=cycle,
+            requests=requests,
+            address_phase=phase,
+            hwdata=None,
+            interrupts=_NO_INTERRUPTS,
+        )
+
+    def commit_idle_cycles(
+        self, cycle: int, phases: List[AddressPhase], requests: Dict[int, bool]
+    ) -> List[BusCycleRecord]:
+        """Commit ``len(phases)`` idle cycles from ``cycle`` in one step.
+
+        Builds the cycles' records -- the current grant, the given merged
+        address phase per cycle, no data phase, the interned OKAY and the
+        shared all-low ``requests`` map -- and adopts them through
+        :meth:`adopt_idle_records`.  Returns the records so lock-step
+        replicas can adopt the same objects.
+        """
+        grant = self.core.arbiter.current_grant
+        records = [
+            BusCycleRecord(
+                cycle=cycle + offset,
+                granted_master=grant,
+                address_phase=phase,
+                data_phase=None,
+                hwdata=None,
+                response=_OKAY,
+                requests=requests,
+            )
+            for offset, phase in enumerate(phases)
+        ]
+        self.adopt_idle_records(records, requests)
+        return records
+
     def adopt_idle_records(
         self, records: List[BusCycleRecord], latched_requests: Dict[int, bool]
     ) -> None:
         """Adopt a proven-idle run of committed cycles in one step.
 
-        The caller (the batch-stepping engine) has verified the bus is
+        The caller (the quiescence skip) has verified the bus is
         :meth:`idle_stationary` for the whole run and built the per-cycle
-        records itself.  This applies exactly the state transitions ``len(
-        records)`` idle :meth:`commit_phase` calls would have applied: records
-        and the monotone commit counter advance, the monitor adopts the run,
-        the arbiter books one parked all-idle decision per cycle (grant
-        unchanged), the latched request vector becomes the all-False map, and
-        the per-cycle caches are invalidated.  Masters receive no callbacks
-        (HREADY is high but nothing is active) and the data-phase registers
-        are already at their idle values.
+        records (see :meth:`commit_idle_cycles`).  This applies exactly the
+        state transitions ``len(records)`` idle :meth:`commit_phase` calls
+        would have applied: records and the monotone commit counter advance,
+        the monitor adopts the run, the arbiter books one parked all-idle
+        decision per cycle (grant unchanged), the latched request vector
+        becomes the all-False map, and the per-cycle caches are invalidated.
+        Masters receive no callbacks (HREADY is high but nothing is active)
+        and the data-phase registers are already at their idle values.
         """
         core = self.core
         assert core is not None
@@ -794,12 +849,12 @@ class HalfBusModel(ClockedComponent):
         if redo:
             # The append-only histories (records, beats, violations) are
             # truncated by the rewind, so the redo token keeps what it drops.
-            recorder_base = token["recorder"]["n_beats"]
+            beats = self.recorder.beats
             state = {
                 "core": core.snapshot(),
                 "n_records": self._records_committed,
-                "beats_base": recorder_base,
-                "beats": self.recorder.beats[recorder_base:],
+                "n_beats": len(beats),
+                "beats": beats[token["recorder"]:],
                 "interrupts": dict(self.interrupt_outputs),
                 "monitor": None if monitor is None else monitor.snapshot(),
                 "violations": (
@@ -831,9 +886,8 @@ class HalfBusModel(ClockedComponent):
         :meth:`~repro.sim.component.ClockedComponent.redo_checkpoint_window`).
 
         Registered state is restored from the redo snapshot; the truncated
-        histories get back the entries past the re-executed prefix.  The
-        transaction recorder re-records those beats instead, because its
-        rewind also drops the open bursts.
+        histories (records, beats, violations) get back the entries past the
+        re-executed prefix.
         """
         core = self.core
         assert core is not None
@@ -843,10 +897,7 @@ class HalfBusModel(ClockedComponent):
             self.local_masters[mid].redo_checkpoint_window(m_state)
         for sid, s_state in state["slaves"].items():
             self.local_slaves[sid].redo_checkpoint_window(s_state)
-        recorder = self.recorder
-        beats = state["beats"]
-        for beat in beats[len(recorder.beats) - state["beats_base"]:]:
-            recorder.record_beat(beat)
+        regrow(self.recorder.beats, state["beats"], state["n_beats"])
         records = self.records
         n_records = state["n_records"]
         regrow(records, state["records"], len(records) + n_records - self._records_committed)

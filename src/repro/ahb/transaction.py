@@ -2,17 +2,19 @@
 
 A :class:`BusTransaction` is the unit of work a bus master wants to perform:
 a read or write burst of one or more beats.  Masters turn transactions into
-pin-level address/data phases; the :class:`TransactionRecorder` performs the
-inverse, re-assembling completed beats into transactions.  Comparing the
-recorded transaction streams of two system models (monolithic bus vs. split
-co-emulated bus, conservative vs. optimistic synchronisation) is the golden
-functional-equivalence check used throughout the test suite.
+pin-level address/data phases; the :class:`TransactionRecorder` records the
+completed beats and performs the inverse, re-assembling them into
+transactions.  Comparing the recorded beat streams of two system models
+(monolithic bus vs. split co-emulated bus, conservative vs. optimistic
+synchronisation) is the golden functional-equivalence check used throughout
+the test suite; the end-to-end property test also compares the reassembled
+transaction streams per master.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .signals import AhbError, HBurst, HResp, HSize
 from .burst import beat_count
@@ -117,102 +119,83 @@ class CompletedTransaction:
 
 
 class TransactionRecorder:
-    """Re-assembles completed beats into transactions.
+    """Records completed beats and reassembles them into transactions.
 
-    The recorder groups consecutive beats from the same master: a beat marked
-    ``first_beat`` starts a new transaction, subsequent beats extend it until
-    the expected beat count is reached.
+    The beat list is the recorder's only state: a snapshot is a beat count,
+    and a restore truncates the list, so a burst that was open at the
+    snapshot is reassembled from its beats like any other.  Reassembly
+    (:meth:`finalize`) groups consecutive beats from the same master: a beat
+    marked ``first_beat`` starts a new transaction, subsequent beats extend
+    it until the expected beat count is reached.
     """
 
     def __init__(self) -> None:
         self.beats: List[CompletedBeat] = []
-        self.transactions: List[CompletedTransaction] = []
-        self._open: dict[int, CompletedTransaction] = {}
-        self._open_expected: dict[int, int] = {}
 
     def record_beat(self, beat: CompletedBeat) -> None:
         """Record one completed data phase."""
         self.beats.append(beat)
-        if beat.first_beat:
-            self._start_transaction(beat)
-        else:
-            self._extend_transaction(beat)
 
-    def _start_transaction(self, beat: CompletedBeat) -> None:
-        # If the master had an unfinished transaction, close it as-is (an
-        # ERROR response aborts the remainder of a burst).
-        self._close(beat.master_id)
-        txn = CompletedTransaction(
-            master_id=beat.master_id,
-            address=beat.address,
-            write=beat.write,
-            hburst=beat.hburst,
-            hsize=beat.hsize,
-            data=[] if beat.data is None else [beat.data],
-            start_cycle=beat.cycle,
-            end_cycle=beat.cycle,
-            responses=[beat.hresp],
-        )
-        expected = beat.hburst.beats or 1
-        if beat.hburst is HBurst.INCR:
-            expected = -1  # unknown length; closed by the next first_beat
-        if expected == 1:
-            self.transactions.append(txn)
-        else:
-            self._open[beat.master_id] = txn
-            self._open_expected[beat.master_id] = expected
-
-    def _extend_transaction(self, beat: CompletedBeat) -> None:
-        txn = self._open.get(beat.master_id)
-        if txn is None:
-            # A SEQ beat without an open transaction: treat as a new single.
-            self._start_transaction(
-                CompletedBeat(
-                    cycle=beat.cycle,
-                    master_id=beat.master_id,
-                    address=beat.address,
-                    write=beat.write,
-                    data=beat.data,
-                    hresp=beat.hresp,
-                    hburst=HBurst.SINGLE,
-                    hsize=beat.hsize,
-                    first_beat=True,
-                )
-            )
-            return
-        if beat.data is not None:
-            txn.data.append(beat.data)
-        txn.responses.append(beat.hresp)
-        txn.end_cycle = beat.cycle
-        expected = self._open_expected[beat.master_id]
-        if expected > 0 and len(txn.responses) >= expected:
-            self._close(beat.master_id)
-
-    def _close(self, master_id: int) -> None:
-        txn = self._open.pop(master_id, None)
-        self._open_expected.pop(master_id, None)
-        if txn is not None:
-            self.transactions.append(txn)
+    @property
+    def transactions(self) -> List[CompletedTransaction]:
+        """The beats reassembled into transactions (see :meth:`finalize`)."""
+        return self.finalize()
 
     def finalize(self) -> List[CompletedTransaction]:
-        """Close any open transactions and return the full list."""
-        for master_id in list(self._open):
-            self._close(master_id)
-        return self.transactions
+        """Reassemble the recorded beats into transactions.
+
+        Transactions are listed in the order they closed; bursts still open
+        after the last beat close as they stand, last-opened last.  A new
+        first beat closes its master's unfinished transaction as-is (an
+        ERROR response aborts the remainder of a burst), an INCR burst runs
+        until its master's next first beat, and a SEQ beat without an open
+        transaction counts as a single transfer.
+        """
+        transactions: List[CompletedTransaction] = []
+        # master id -> (open transaction, expected beats or -1 for INCR)
+        open_txns: Dict[int, tuple] = {}
+        for beat in self.beats:
+            master_id = beat.master_id
+            entry = None if beat.first_beat else open_txns.get(master_id)
+            if entry is not None:
+                txn, expected = entry
+                if beat.data is not None:
+                    txn.data.append(beat.data)
+                txn.responses.append(beat.hresp)
+                txn.end_cycle = beat.cycle
+                if expected > 0 and len(txn.responses) >= expected:
+                    transactions.append(open_txns.pop(master_id)[0])
+                continue
+            unfinished = open_txns.pop(master_id, None)
+            if unfinished is not None:
+                transactions.append(unfinished[0])
+            hburst = beat.hburst if beat.first_beat else HBurst.SINGLE
+            txn = CompletedTransaction(
+                master_id=master_id,
+                address=beat.address,
+                write=beat.write,
+                hburst=hburst,
+                hsize=beat.hsize,
+                data=[] if beat.data is None else [beat.data],
+                start_cycle=beat.cycle,
+                end_cycle=beat.cycle,
+                responses=[beat.hresp],
+            )
+            expected = -1 if hburst is HBurst.INCR else hburst.beats or 1
+            if expected == 1:
+                transactions.append(txn)
+            else:
+                open_txns[master_id] = (txn, expected)
+        transactions.extend(txn for txn, _ in open_txns.values())
+        return transactions
 
     def beat_keys(self) -> List[tuple]:
         """Functional summary of the beat stream (for equivalence checks)."""
         return [beat.key() for beat in self.beats]
 
-    def snapshot(self) -> dict:
-        """Snapshot for rollback: index counters only (beats are append-only)."""
-        return {
-            "n_beats": len(self.beats),
-            "n_transactions": len(self.transactions),
-        }
+    def snapshot(self) -> int:
+        """Snapshot for rollback: the beat count (beats are append-only)."""
+        return len(self.beats)
 
-    def restore(self, state: dict) -> None:
-        del self.beats[state["n_beats"]:]
-        del self.transactions[state["n_transactions"]:]
-        self._open.clear()
-        self._open_expected.clear()
+    def restore(self, n_beats: int) -> None:
+        del self.beats[n_beats:]

@@ -403,24 +403,6 @@ def _cmd_mechanism(args: argparse.Namespace) -> str:
     )
 
 
-def _kernel_refusals(engine) -> Dict[str, int]:
-    """Aggregate :class:`~repro.sim.kernel.CycleKernel` fast-forward refusal
-    tallies reachable from an engine.
-
-    The co-emulation engines drive the half bus models directly, but
-    kernel-backed components (reference buses, accelerator wrappers) may hang
-    off the hosts; the probe is defensive so either layout reports.
-    """
-    totals: Dict[str, int] = {}
-    for host in getattr(engine, "_host_list", None) or []:
-        stats = getattr(getattr(host, "kernel", None), "stats", None)
-        refusals = getattr(stats, "fast_forward_refusals", None)
-        if refusals:
-            for reason, count in refusals.items():
-                totals[reason] = totals.get(reason, 0) + count
-    return totals
-
-
 def _trace_preset(mode: str) -> str:
     """The fast-path preset ``--trace`` selects for ``mode``."""
     return "conventional_trace" if mode == OperatingMode.CONSERVATIVE.value else "als_trace"
@@ -472,12 +454,6 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
                 f"profile: trace replay {'on' if trace.get('enabled') else 'off'}, "
                 f"{trace.get('replayed_cycles', 0)} cycles replayed ({share:.1%}), "
                 f"bailouts: {bailouts}",
-                file=sys.stderr,
-            )
-        refusals = _kernel_refusals(engine)
-        if refusals:
-            print(
-                f"profile: kernel fast-forward refusals: {summarize_counts(refusals)}",
                 file=sys.stderr,
             )
     checkpoint = _checkpoint_policy(args)

@@ -76,6 +76,8 @@ _NO_INTERRUPTS: Dict[str, bool] = {}
 
 _INF = float("inf")
 
+_OKAY = DataPhaseResult.okay()
+
 
 def _remote_interrupt_union(drives: List[BoundaryDrive], self_index: int) -> Dict[str, bool]:
     """Union of every peer's interrupt lines (rarely non-empty)."""
@@ -243,6 +245,85 @@ class CoEmulationResult:
             "prediction_accuracy": self.prediction.get("accuracy", 1.0),
             "rollbacks": self.transitions.get("rollbacks", 0),
         }
+
+
+class ChargePlan:
+    """A fixed sequence of channel accesses, charged in closed form.
+
+    ``legs`` are ``(source_host, dest_host, words, purpose)`` in scalar
+    order: the accesses of one idle lock-step cycle, or of one replayed trace
+    period.  :meth:`apply` books ``count`` repetitions of them as the scalar
+    path would -- integer counters by multiplication, float accumulators
+    through the bit-exact :mod:`~repro.sim.batchmath` folds -- unless a leg
+    needs per-access work: fault injection (per-access RNG draws), a relayed
+    pair (per-hop charges) or a channel keeping an access log (per-access
+    records).  Such a plan charges every access through the engine's
+    per-access path instead.  Nothing a plan depends on (channel objects,
+    word counts, timing params) changes after construction.
+    """
+
+    __slots__ = ("legs", "closed", "pattern", "per_channel")
+
+    def __init__(self, engine: "CoEmulationEngineBase", legs: List[tuple]) -> None:
+        self.legs = legs
+        self.pattern: List[float] = []
+        self.per_channel: List[list] = []
+        channels = engine._channels
+        self.closed = not engine._fault_links and all(
+            (src.domain, dst.domain) in channels
+            and not channels[(src.domain, dst.domain)][0].stats.keep_log
+            for src, dst, _, _ in legs
+        )
+        if not self.closed:
+            return
+        per_channel: Dict[int, list] = {}
+        for src, dst, words, purpose in legs:
+            channel, direction = channels[(src.domain, dst.domain)]
+            access_time = channel.params.access_time(direction, words)
+            self.pattern.append(access_time)
+            info = per_channel.get(id(channel))
+            if info is None:
+                info = per_channel[id(channel)] = [channel, [], 0, 0, {}, {}, {}]
+            info[1].append(access_time)
+            info[2] += 1
+            info[3] += words
+            info[4][direction] = info[4].get(direction, 0) + 1
+            info[5][direction] = info[5].get(direction, 0) + words
+            info[6][purpose] = info[6].get(purpose, 0) + 1
+        self.per_channel = list(per_channel.values())
+
+    def apply(self, engine: "CoEmulationEngineBase", cycle: int, count: int = 1) -> None:
+        """Charge ``count`` repetitions of the legs, the first at ``cycle``."""
+        if not self.closed:
+            charge = engine._charge_channel
+            for offset in range(count):
+                for src, dst, words, purpose in self.legs:
+                    charge(src, dst, words, purpose, cycle + offset)
+            return
+        if not self.legs or count <= 0:
+            return
+        buckets = engine.ledger.buckets
+        buckets["channel"] = repeat_add_pattern(buckets["channel"], self.pattern, count)
+        for channel, times, n_legs, n_words, dir_accesses, dir_words, purposes in self.per_channel:
+            stats = channel.stats
+            stats.accesses += n_legs * count
+            stats.words += n_words * count
+            stats.total_time = repeat_add_pattern(stats.total_time, times, count)
+            for direction, n in dir_accesses.items():
+                stats.per_direction_accesses[direction] += n * count
+            for direction, w in dir_words.items():
+                stats.per_direction_words[direction] += w * count
+            per_purpose = stats.per_purpose_accesses
+            for purpose, n in purposes.items():
+                per_purpose[purpose] = per_purpose.get(purpose, 0) + n * count
+            layers = channel.layers
+            layer_times = channel.layer_times
+            n_adds = n_legs * count
+            layer_times.api = repeat_add(layer_times.api, layers.api_overhead, n_adds)
+            layer_times.driver = repeat_add(layer_times.driver, layers.driver_overhead, n_adds)
+            layer_times.physical = repeat_add(
+                layer_times.physical, layers.physical_overhead, n_adds
+            )
 
 
 class CoEmulationEngineBase:
@@ -730,79 +811,16 @@ class CoEmulationEngineBase:
                         )
                 quiet_until[domain] = horizon
 
-        # In lock step every replicated core commits the *same* merged bus
-        # values: master ownership is disjoint across domains and at most one
-        # domain drives an address phase or write data, so the union of all
-        # contributions -- built once -- is exactly what each host's
-        # local-plus-peers merge would produce.  One shared DriveValues
-        # object serves every commit (nothing mutates committed drive
-        # values; the request dict is aliased by every core's latched
-        # register, which is read-only after commit).
-        global_drive = merge_boundary_drives(drives)
-        global_phase = global_drive.address_phase
-        global_hwdata = global_drive.hwdata
-        merged = DriveValues(
-            requests=global_drive.requests,
-            address_phase=(
-                global_phase
-                if global_phase is not None
-                else AddressPhase.idle_phase(hosts[0].hbm.core.arbiter.current_grant)
-            ),
-            hwdata=global_hwdata,
-            interrupts=global_drive.interrupts,
+        global_drive, _, response = self._commit_lockstep_cycle(
+            hosts, cycle, info, drives, responder
         )
-        response = (
-            responder.hbm.response_phase(cycle, merged).response or DataPhaseResult.okay()
-        )
-
-        if info.active:
+        if info_active:
             reply_words = packetizer.response_word_count(response)
             for dest in hosts:
                 if dest is not responder:
                     self._charge_channel(
                         responder, dest, reply_words, purpose="conservative_reply", cycle=cycle
                     )
-
-        # Shared commit objects: every replicated core produces the same
-        # cycle record (and completed beat) in lock step, so they are built
-        # once and adopted by reference.
-        first_core = hosts[0].hbm.core
-        record = BusCycleRecord(
-            cycle=cycle,
-            granted_master=first_core.arbiter.current_grant,
-            address_phase=merged.address_phase,
-            data_phase=first_core.data_phase,
-            hwdata=merged.hwdata,
-            response=response,
-            requests=merged.requests,
-        )
-        beat = None
-        if info.active and response.hready:
-            phase = info.address_phase
-            beat = CompletedBeat(
-                cycle=cycle,
-                master_id=phase.master_id,
-                address=phase.haddr,
-                write=phase.hwrite,
-                data=merged.hwdata if phase.hwrite else response.hrdata,
-                hresp=response.hresp,
-                hburst=phase.hburst,
-                hsize=phase.hsize,
-                first_beat=phase.htrans is HTrans.NONSEQ,
-            )
-        for host in hosts:
-            host.hbm.commit_lockstep(cycle, merged, response, record, beat)
-
-        # Batched per-host clock/execution bookkeeping (identical float
-        # additions per category as the per-host commit wrapper).
-        buckets = self.ledger.buckets
-        for host in hosts:
-            clock = host.clock
-            clock.cycle += 1
-            clock.total_executed += 1
-            execution = host.execution
-            buckets[execution.category] += execution._seconds_per_cycle
-            execution.cycles_charged += 1
 
         if self.observe_during_conservative:
             # Per-host remote view derived from the global union (observe
@@ -816,6 +834,8 @@ class CoEmulationEngineBase:
                     phase_owner = index
             has_interrupts = bool(global_drive.interrupts)
             global_requests = global_drive.requests
+            global_phase = global_drive.address_phase
+            global_hwdata = global_drive.hwdata
             for index, host in enumerate(hosts):
                 remote_view = BoundaryDrive(
                     cycle=cycle,
@@ -831,6 +851,77 @@ class CoEmulationEngineBase:
                 self._observe_actuals(host, remote_view, response)
         self.ledger.commit_cycles(1)
         self.transitions.record_conservative_cycle()
+
+    def _commit_lockstep_cycle(
+        self,
+        hosts: List[DomainHost],
+        cycle: int,
+        info,
+        drives: List[BoundaryDrive],
+        responder: Optional[DomainHost],
+        fallback: Optional[DataPhaseResult] = None,
+    ) -> Tuple[BoundaryDrive, Optional[DataPhaseResult], DataPhaseResult]:
+        """Commit one lock-step cycle on every host of ``hosts``.
+
+        ``drives`` are every contribution to the cycle and ``info`` the
+        shared data-phase info.  In lock step every replicated core commits
+        the *same* merged bus values: master ownership is disjoint across
+        domains and at most one domain drives an address phase or write
+        data, so the union of all contributions -- built once -- is exactly
+        what each host's local-plus-peers merge would produce.  One shared
+        DriveValues object, cycle record and completed beat serve every
+        commit (nothing mutates committed values; the request dict is
+        aliased by every core's latched register, which is read-only after
+        commit).  The response is ``responder``'s (``None`` for none), else
+        ``fallback``, else OKAY.
+
+        Returns the global drive, the responder's own response and the
+        committed response.
+        """
+        global_drive = merge_boundary_drives(drives)
+        global_phase = global_drive.address_phase
+        first_core = hosts[0].hbm.core
+        merged = DriveValues(
+            requests=global_drive.requests,
+            address_phase=(
+                global_phase
+                if global_phase is not None
+                else AddressPhase.idle_phase(first_core.arbiter.current_grant)
+            ),
+            hwdata=global_drive.hwdata,
+            interrupts=global_drive.interrupts,
+        )
+        response = (
+            None if responder is None else responder.hbm.response_phase(cycle, merged).response
+        )
+        committed = response or fallback or _OKAY
+        record = BusCycleRecord(
+            cycle=cycle,
+            granted_master=first_core.arbiter.current_grant,
+            address_phase=merged.address_phase,
+            data_phase=first_core.data_phase,
+            hwdata=merged.hwdata,
+            response=committed,
+            requests=merged.requests,
+        )
+        beat = None
+        if info.active and committed.hready:
+            phase = info.address_phase
+            beat = CompletedBeat(
+                cycle=cycle,
+                master_id=phase.master_id,
+                address=phase.haddr,
+                write=phase.hwrite,
+                data=merged.hwdata if phase.hwrite else committed.hrdata,
+                hresp=committed.hresp,
+                hburst=phase.hburst,
+                hsize=phase.hsize,
+                first_beat=phase.htrans is HTrans.NONSEQ,
+            )
+        for host in hosts:
+            host.hbm.commit_lockstep(cycle, merged, committed, record, beat)
+            host.advance(1)
+        return global_drive, response, committed
 
     def _observe_actuals(
         self,
@@ -853,248 +944,6 @@ class CoEmulationEngineBase:
             response if remote_slave is not None else None,
             slave_id=remote_slave,
         )
-
-    # -- fast path: quiescence skip ---------------------------------------------------
-    def next_event_cycle(self) -> float:
-        """Earliest future cycle at which any domain may initiate bus activity.
-
-        The batch-stepping horizon exposed by every engine: derived from the
-        per-master workload queues (burst in flight / next issue cycle) and,
-        under activity gating, from the outstanding lookahead-promise
-        renewals.  Returns the current cycle when anything may be active right
-        now and ``inf`` when every workload is drained.
-        """
-        hosts = self._host_list
-        cycle = hosts[0].current_cycle
-        horizon = _INF
-        for host in hosts:
-            candidate = host.hbm.next_local_activity(cycle)
-            if candidate < horizon:
-                horizon = candidate
-                if horizon <= cycle:
-                    return horizon
-        if self._sync_gating:
-            for quiet in self._quiet_until.values():
-                if quiet != _INF and cycle < quiet < horizon:
-                    horizon = quiet
-        return horizon
-
-    def _idle_run_length(self, limit: int) -> int:
-        """Longest ``k <= limit`` such that the next ``k`` lock-step cycles
-        are provably identical all-idle fixed-point cycles.
-
-        Returns 0 when no batchable run exists (anything active, quiescence
-        horizon too close, a gating promise due for renewal, ...); a result
-        ``k > 1`` may be handed to :meth:`_fast_forward_idle_cycles`.
-        Engines that train predictors during conservative cycles are
-        excluded: the per-cycle ``observe`` calls are part of their scalar
-        behaviour.
-        """
-        if limit <= 1 or self.observe_during_conservative:
-            return 0
-        hosts = self._host_list
-        cycle = hosts[0].current_cycle
-        horizon = float(cycle + limit)
-        for host in hosts:
-            hbm = host.hbm
-            if not hbm.idle_stationary():
-                return 0
-            activity = hbm.next_local_activity(cycle)
-            if activity <= cycle:
-                return 0
-            if activity < horizon:
-                horizon = activity
-        if self._sync_gating:
-            # The gated lock-step cycle adds three per-domain conditions: the
-            # grant must have been stable since the last committed cycle, a
-            # quiet domain's promise must outlast the whole stretch (a
-            # renewal cycle runs scalar), and a domain outside the
-            # infinite-promise reuse branch must re-drive exactly what it
-            # last shipped (otherwise the scalar path ships the change).
-            if hosts[0].hbm.core.arbiter.current_grant != self._last_grant:
-                return 0
-            quiet_until = self._quiet_until
-            last_broadcast = self._last_broadcast
-            for host in hosts:
-                domain = host.domain
-                last = last_broadcast.get(domain)
-                if last is None:
-                    return 0
-                quiet = quiet_until.get(domain, -1.0)
-                if quiet == _INF:
-                    continue  # reuse branch: no drive step, no traffic
-                if quiet <= cycle:
-                    return 0  # promise renewal due this cycle
-                if quiet < horizon:
-                    horizon = quiet
-                # Sampling the drive is side-effect-free at the idle fixed
-                # point (no per-cycle ticks; parked masters return interned
-                # idle phases without starting transactions).
-                if not drives_functionally_equal(host.hbm.drive_phase(cycle), last):
-                    return 0
-        run = int(horizon - cycle)
-        return run if run > 1 else 0
-
-    def _fast_forward_idle_cycles(self, count: int) -> None:
-        """Commit ``count`` all-idle lock-step cycles in one batched step.
-
-        Preconditions are established by :meth:`_idle_run_length`; this
-        method applies exactly the state transitions ``count`` scalar
-        :meth:`run_conservative_cycle` calls would have applied -- same cycle
-        records, same channel accesses in the same order, same float
-        accumulation sequences -- without re-entering per-cycle dispatch.
-        """
-        hosts = self._host_list
-        cycle = hosts[0].current_cycle
-        grant = hosts[0].hbm.core.arbiter.current_grant
-        gated = self._sync_gating
-        okay = DataPhaseResult.okay()
-
-        if gated:
-            # Effective per-domain drives: reuse the last shipped values for
-            # infinite-promise domains (as the scalar gated cycle does),
-            # sample the rest once -- their outputs are constant over the
-            # stretch.  No charges: nothing ships while every drive repeats
-            # its last broadcast and every promise outlasts the stretch.
-            drives = [
-                self._last_broadcast[host.domain]
-                if self._quiet_until.get(host.domain, -1.0) == _INF
-                else host.hbm.drive_phase(cycle)
-                for host in hosts
-            ]
-            global_drive = merge_boundary_drives(drives)
-            shared_requests = global_drive.requests
-            merged_phase = global_drive.address_phase
-            if merged_phase is None:
-                merged_phase = AddressPhase.idle_phase(grant)
-            plan: List[tuple] = []
-        else:
-            # Ungated lock-step: the drive/reply exchange happens every cycle
-            # with constant word counts, so the per-cycle charge plan is
-            # built once and replayed ``count`` times.  With the bus idle the
-            # responder is always the first topology domain.
-            drives = [host.hbm.drive_phase(cycle) for host in hosts]
-            shared_requests = hosts[0].hbm._request_template.copy()
-            merged_phase = None
-            for drive in drives:
-                if drive.address_phase is not None:
-                    merged_phase = drive.address_phase
-                    break
-            if merged_phase is None:
-                merged_phase = AddressPhase.idle_phase(grant)
-            plan = []
-            packetizer = self.packetizer
-            responder = hosts[0]
-            others = hosts[1:]
-            for index, host in enumerate(hosts[1:], start=1):
-                drive_words = packetizer.drive_word_count(drives[index])
-                for dest in hosts:
-                    if dest is not host:
-                        plan.append((host, dest, drive_words, "conservative_drive"))
-            if others:
-                reply_words = packetizer.drive_word_count(drives[0])
-                reply_words += packetizer.response_word_count(okay)
-                for dest in others:
-                    plan.append((responder, dest, reply_words, "conservative_reply"))
-
-        records = [
-            BusCycleRecord(
-                cycle=cycle + offset,
-                granted_master=grant,
-                address_phase=merged_phase,
-                data_phase=None,
-                hwdata=None,
-                response=okay,
-                requests=shared_requests,
-            )
-            for offset in range(count)
-        ]
-        if not self._apply_charge_plan(plan, count):
-            for offset in range(count):
-                for src, dst, words, purpose in plan:
-                    self._charge_channel(src, dst, words, purpose, cycle + offset)
-        for host in hosts:
-            host.hbm.adopt_idle_records(records, shared_requests)
-        buckets = self.ledger.buckets
-        for host in hosts:
-            clock = host.clock
-            clock.cycle += count
-            clock.total_executed += count
-            execution = host.execution
-            buckets[execution.category] = repeat_add(
-                buckets[execution.category], execution._seconds_per_cycle, count
-            )
-            execution.cycles_charged += count
-        if gated:
-            self._last_grant = grant
-        self.ledger.commit_cycles(count)
-        self.transitions.record_conservative_cycle(count)
-
-    def _apply_charge_plan(self, plan: List[tuple], count: int) -> bool:
-        """Apply ``count`` repetitions of a per-cycle channel charge plan in
-        closed form.
-
-        Returns ``False`` (without charging anything) when a leg cannot be
-        reproduced exactly by the closed form -- fault injection active
-        (per-access RNG draws), a relayed pair, or a channel keeping an
-        access log (per-access records with cycle stamps); the caller then
-        falls back to per-cycle charging.  Float accumulators advance through
-        the bit-exact sequential helpers; integer counters use the closed
-        form directly.
-        """
-        if not plan or count <= 0:
-            return True
-        if self._fault_links:
-            return False
-        legs = []
-        for src, dst, words, purpose in plan:
-            entry = self._channels.get((src.domain, dst.domain))
-            if entry is None:
-                return False
-            channel, direction = entry
-            if channel.stats.keep_log:
-                return False
-            legs.append((channel, direction, words, purpose))
-        pattern: List[float] = []
-        per_channel: Dict[int, list] = {}
-        channel_order: List[int] = []
-        for channel, direction, words, purpose in legs:
-            access_time = channel.params.access_time(direction, words)
-            pattern.append(access_time)
-            info = per_channel.get(id(channel))
-            if info is None:
-                info = per_channel[id(channel)] = [channel, [], 0, 0, {}, {}, {}]
-                channel_order.append(id(channel))
-            info[1].append(access_time)
-            info[2] += 1
-            info[3] += words
-            info[4][direction] = info[4].get(direction, 0) + 1
-            info[5][direction] = info[5].get(direction, 0) + words
-            info[6][purpose] = info[6].get(purpose, 0) + 1
-        buckets = self.ledger.buckets
-        buckets["channel"] = repeat_add_pattern(buckets["channel"], pattern, count)
-        for key in channel_order:
-            channel, times, n_legs, n_words, dir_accesses, dir_words, purposes = per_channel[key]
-            stats = channel.stats
-            stats.accesses += n_legs * count
-            stats.words += n_words * count
-            stats.total_time = repeat_add_pattern(stats.total_time, times, count)
-            for direction, n in dir_accesses.items():
-                stats.per_direction_accesses[direction] += n * count
-            for direction, w in dir_words.items():
-                stats.per_direction_words[direction] += w * count
-            per_purpose = stats.per_purpose_accesses
-            for purpose, n in purposes.items():
-                per_purpose[purpose] = per_purpose.get(purpose, 0) + n * count
-            layers = channel.layers
-            layer_times = channel.layer_times
-            n_adds = n_legs * count
-            layer_times.api = repeat_add(layer_times.api, layers.api_overhead, n_adds)
-            layer_times.driver = repeat_add(layer_times.driver, layers.driver_overhead, n_adds)
-            layer_times.physical = repeat_add(
-                layer_times.physical, layers.physical_overhead, n_adds
-            )
-        return True
 
     # -- result packaging ------------------------------------------------------------
     def _workload_done(self) -> bool:

@@ -98,6 +98,12 @@ class DomainHost:
         self.execution.charge_cycles(1)
         return record
 
+    def advance(self, count: int) -> None:
+        """Account ``count`` executed cycles committed outside the per-cycle
+        wrappers: advance the clock and charge the domain's execution time."""
+        self.clock.advance(count)
+        self.execution.charge_cycles(count)
+
     def execute_cycle(
         self,
         remote_drive: BoundaryDrive,

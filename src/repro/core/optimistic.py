@@ -53,16 +53,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-from ..ahb.bus import DriveValues
-from ..ahb.half_bus import (
-    _NO_INTERRUPTS,
-    BoundaryDrive,
-    NeededFields,
-    drives_functionally_equal,
-    merge_boundary_drives,
-)
-from ..ahb.signals import AddressPhase, BusCycleRecord, DataPhaseResult, HTrans
-from ..ahb.transaction import CompletedBeat
+from ..ahb.half_bus import NeededFields, drives_functionally_equal, merge_boundary_drives
+from ..ahb.signals import AddressPhase, BusCycleRecord
 from ..sim.batchmath import repeat_add
 from ..sim.component import Domain
 from .coemulation import (
@@ -499,18 +491,8 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         sanity guard fails; the caller then runs the scalar cycle.
         """
         hbm = leader.hbm
-        core = hbm.core
-        granted = core.arbiter.current_grant
-        local_requests = {mid: drive_req(cycle) for mid, drive_req in hbm._request_drivers}
-        if any(local_requests.values()):
-            return False
-        granted_master = hbm.local_masters.get(granted)
-        local_phase = (
-            granted_master.drive_address_phase(cycle, granted=True)
-            if granted_master is not None
-            else None
-        )
-        if local_phase is not None and local_phase.is_active:
+        shared_drive = hbm.idle_drive(cycle)
+        if shared_drive is None:
             return False
         pred_requests = dict(predictor._last_requests) if needed.needs_remote_requests else None
         pred_phase = (
@@ -519,36 +501,18 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         shared_prediction = PredictionRecord(
             cycle=cycle, requests=pred_requests, address_phase=pred_phase
         )
-        shared_drive = BoundaryDrive(
-            cycle=cycle,
-            requests=local_requests,
-            address_phase=local_phase,
-            hwdata=None,
-            interrupts=_NO_INTERRUPTS,
-        )
         # The merged commit values every scalar iteration would build:
         # template + local + predicted requests (all False), the local idle
-        # phase (or the predicted inactive remote phase), the interned OKAY.
+        # phase (or the predicted inactive remote phase).
         merged_requests = hbm._request_template.copy()
-        merged_requests.update(local_requests)
+        merged_requests.update(shared_drive.requests)
         if pred_requests:
             merged_requests.update(pred_requests)
-        merged_phase = local_phase if local_phase is not None else pred_phase
+        merged_phase = shared_drive.address_phase
         if merged_phase is None:
-            merged_phase = AddressPhase.idle_phase(granted)
-        okay = DataPhaseResult.okay()
-        records = [
-            BusCycleRecord(
-                cycle=cycle + offset,
-                granted_master=granted,
-                address_phase=merged_phase,
-                data_phase=None,
-                hwdata=None,
-                response=okay,
-                requests=merged_requests,
-            )
-            for offset in range(count)
-        ]
+            merged_phase = pred_phase
+            if merged_phase is None:
+                merged_phase = AddressPhase.idle_phase(hbm.core.arbiter.current_grant)
         forced = predictor.forced_accuracy
         if forced is not None and forced.accuracy < 1.0:
             # One RNG draw per prediction, in scalar order; an injected
@@ -582,7 +546,7 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
                     )
                 )
         predictor.stats.predictions_made += count
-        hbm.adopt_idle_records(records, merged_requests)
+        hbm.commit_idle_cycles(cycle, [merged_phase] * count, merged_requests)
         return True
 
     # -- flush (S-path, leader side) ---------------------------------------------------------------
@@ -761,50 +725,21 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         structural sanity guard fails.
         """
         hbm = lagger.hbm
-        core = hbm.core
-        clock = lagger.clock
-        cycle = clock.cycle
-        granted = core.arbiter.current_grant
-        local_requests = {mid: drive_req(cycle) for mid, drive_req in hbm._request_drivers}
-        if any(local_requests.values()):
+        cycle = lagger.clock.cycle
+        local = hbm.idle_drive(cycle)
+        if local is None:
             return False
-        granted_master = hbm.local_masters.get(granted)
-        local_phase = (
-            granted_master.drive_address_phase(cycle, granted=True)
-            if granted_master is not None
-            else None
-        )
-        if local_phase is not None and local_phase.is_active:
-            return False
-        shared_requests = hbm._request_template.copy()
-        okay = DataPhaseResult.okay()
-        records = []
-        for offset, entry in enumerate(entries[index : index + count]):
-            merged_phase = local_phase
-            if merged_phase is None:
-                merged_phase = entry.leader_drive.address_phase
-                if merged_phase is None:
-                    merged_phase = AddressPhase.idle_phase(granted)
-            records.append(
-                BusCycleRecord(
-                    cycle=cycle + offset,
-                    granted_master=granted,
-                    address_phase=merged_phase,
-                    data_phase=None,
-                    hwdata=None,
-                    response=okay,
-                    requests=shared_requests,
-                )
-            )
-        hbm.adopt_idle_records(records, shared_requests)
-        clock.cycle += count
-        clock.total_executed += count
-        execution = lagger.execution
-        buckets = self.ledger.buckets
-        buckets[execution.category] = repeat_add(
-            buckets[execution.category], execution._seconds_per_cycle, count
-        )
-        execution.cycles_charged += count
+        local_phase = local.address_phase
+        if local_phase is None:
+            granted = hbm.core.arbiter.current_grant
+            phases = []
+            for entry in entries[index : index + count]:
+                phase = entry.leader_drive.address_phase
+                phases.append(phase if phase is not None else AddressPhase.idle_phase(granted))
+        else:
+            phases = [local_phase] * count
+        hbm.commit_idle_cycles(cycle, phases, hbm._request_template.copy())
+        lagger.advance(count)
         stats = predictor.stats
         stats.predictions_checked += count
         stats.predictions_correct += count
@@ -835,7 +770,6 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
         trace = self.trace if self.trace.enabled else None
         last_cycle = laggers[0].current_cycle
         slave_ids_of = self._slave_ids_of
-        buckets = self.ledger.buckets
         quiet_until = self._quiet_until
         master_home = self._master_home
         for index, entry in enumerate(entries):
@@ -883,70 +817,26 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
                             self._charge_channel(
                                 src, dst, words, purpose="followup_exchange", cycle=cycle
                             )
-            # In lock step every lagger commits the *same* merged values:
-            # build the union of the leader's entry and every lagger's drive
-            # once and share the resulting DriveValues across all commits
-            # (master ownership is disjoint; at most one domain drives an
-            # address phase / write data; committed values are read-only).
-            global_drive = merge_boundary_drives([entry.leader_drive] + drive_list)
-            global_phase = global_drive.address_phase
-            merged = DriveValues(
-                requests=global_drive.requests,
-                address_phase=(
-                    global_phase
-                    if global_phase is not None
-                    else AddressPhase.idle_phase(first_core.arbiter.current_grant)
-                ),
-                hwdata=global_drive.hwdata,
-                interrupts=global_drive.interrupts,
-            )
-            # Only the domain owning the active data-phase slave can answer;
-            # dispatch the response step straight to it (first lagger in
-            # order, matching the ungated first-non-None rule).
-            lagger_response = None
+            # Only the domain owning the active data-phase slave can answer
+            # (first lagger in order, matching the ungated first-non-None
+            # rule); otherwise the leader's buffered response commits.
+            responder = None
             if lock_info.active:
                 slave_id = lock_info.slave_id
                 for lagger in laggers:
                     if slave_id in slave_ids_of[lagger.domain]:
-                        lagger_response = lagger.hbm.response_phase(cycle, merged).response
+                        responder = lagger
                         break
-            commit_response = lagger_response or entry.leader_response or DataPhaseResult.okay()
-            # Shared commit objects (see _run_conservative_cycle_gated): the
-            # laggers' replicated cores all commit the same values.
-            shared_record = BusCycleRecord(
-                cycle=cycle,
-                granted_master=first_core.arbiter.current_grant,
-                address_phase=merged.address_phase,
-                data_phase=first_core.data_phase,
-                hwdata=merged.hwdata,
-                response=commit_response,
-                requests=merged.requests,
+            _, lagger_response, _ = self._commit_lockstep_cycle(
+                laggers,
+                cycle,
+                lock_info,
+                [entry.leader_drive] + drive_list,
+                responder,
+                entry.leader_response,
             )
-            shared_beat = None
-            if lock_info.active and commit_response.hready:
-                phase = lock_info.address_phase
-                shared_beat = CompletedBeat(
-                    cycle=cycle,
-                    master_id=phase.master_id,
-                    address=phase.haddr,
-                    write=phase.hwrite,
-                    data=merged.hwdata if phase.hwrite else commit_response.hrdata,
-                    hresp=commit_response.hresp,
-                    hburst=phase.hburst,
-                    hsize=phase.hsize,
-                    first_beat=phase.htrans is HTrans.NONSEQ,
-                )
-            for lagger in laggers:
-                lagger.hbm.commit_lockstep(
-                    cycle, merged, commit_response, shared_record, shared_beat
-                )
-                clock = lagger.clock
-                clock.cycle += 1
-                clock.total_executed += 1
-                execution = lagger.execution
-                buckets[execution.category] += execution._seconds_per_cycle
-                execution.cycles_charged += 1
-                if trace is not None:
+            if trace is not None:
+                for lagger in laggers:
                     trace.record(lagger.domain, cycle, CwPath.LAGGER)
             if entry.prediction is None:
                 continue

@@ -51,7 +51,7 @@ from ..ahb.master import TrafficMaster
 from ..ahb.signals import BusCycleRecord, DataPhaseResult, HBurst, HTrans
 from ..ahb.slave import MemorySlave
 from ..ahb.transaction import CompletedBeat
-from ..sim.batchmath import repeat_add, repeat_add_pattern
+from .coemulation import ChargePlan
 
 #: Longest period the cache will consider.  Streaming bursts repeat every few
 #: tens of cycles; anything longer is unlikely to recur often enough to pay
@@ -134,66 +134,6 @@ class _MasterGuard:
         self.active_shape = active_shape
         #: Shapes of the transactions owning each outstanding data beat.
         self.outstanding_shapes = outstanding_shapes
-
-
-class _ChargePlan:
-    """A period's channel legs with the closed-form aggregation precomputed.
-
-    Mirrors ``CoEmulationEngineBase._apply_charge_plan`` exactly, but hoists
-    the per-call leg resolution and aggregation out of the hot path: the
-    plan is applied once per replayed period, and nothing it depends on
-    (channel objects, per-leg word counts, timing params) changes after
-    template construction.
-    """
-
-    __slots__ = ("legs", "pattern", "per_channel")
-
-    def __init__(self, engine, legs) -> None:
-        #: (src_host, dst_host, words, purpose) -- scalar-order fallback
-        #: for partially replayed periods.
-        self.legs = legs
-        self.pattern: List[float] = []
-        per_channel: Dict[int, list] = {}
-        order: List[int] = []
-        for src, dst, words, purpose in legs:
-            channel, direction = engine._channels[(src.domain, dst.domain)]
-            access_time = channel.params.access_time(direction, words)
-            self.pattern.append(access_time)
-            info = per_channel.get(id(channel))
-            if info is None:
-                info = per_channel[id(channel)] = [channel, [], 0, 0, {}, {}, {}]
-                order.append(id(channel))
-            info[1].append(access_time)
-            info[2] += 1
-            info[3] += words
-            info[4][direction] = info[4].get(direction, 0) + 1
-            info[5][direction] = info[5].get(direction, 0) + words
-            info[6][purpose] = info[6].get(purpose, 0) + 1
-        self.per_channel = [per_channel[key] for key in order]
-
-    def apply(self, engine) -> None:
-        """Book one period's channel charges (bit-exact scalar order)."""
-        buckets = engine.ledger.buckets
-        buckets["channel"] = repeat_add_pattern(buckets["channel"], self.pattern, 1)
-        for channel, times, n_legs, n_words, dir_accesses, dir_words, purposes in self.per_channel:
-            stats = channel.stats
-            stats.accesses += n_legs
-            stats.words += n_words
-            stats.total_time = repeat_add_pattern(stats.total_time, times, 1)
-            for direction, n in dir_accesses.items():
-                stats.per_direction_accesses[direction] += n
-            for direction, w in dir_words.items():
-                stats.per_direction_words[direction] += w
-            per_purpose = stats.per_purpose_accesses
-            for purpose, n in purposes.items():
-                per_purpose[purpose] = per_purpose.get(purpose, 0) + n
-            layers = channel.layers
-            layer_times = channel.layer_times
-            layer_times.api = repeat_add(layer_times.api, layers.api_overhead, n_legs)
-            layer_times.driver = repeat_add(layer_times.driver, layers.driver_overhead, n_legs)
-            layer_times.physical = repeat_add(
-                layer_times.physical, layers.physical_overhead, n_legs
-            )
 
 
 class _PeriodTemplate:
@@ -624,7 +564,7 @@ class PeriodicTraceController:
                 captured["outstanding"],
             )
         return _PeriodTemplate(
-            period, verify["signature"], cycles, _ChargePlan(engine, plan), guards
+            period, verify["signature"], cycles, ChargePlan(engine, plan), guards
         )
 
     # -- replay ----------------------------------------------------------------
@@ -913,23 +853,13 @@ class PeriodicTraceController:
         # Channel charges: closed form for a full period, per-leg scalar
         # charging for a partial prefix (identical arithmetic either way).
         if committed == template.period:
-            template.plan.apply(engine)
+            template.plan.apply(engine, base)
         else:
             for leg_index in range(2 * committed):
                 src, dst, words, purpose = template.plan.legs[leg_index]
                 engine._charge_channel(src, dst, words, purpose, cycle=base + (leg_index >> 1))
-        # Execution time and clocks: the scalar path books one float add per
-        # host per cycle; repeat_add reproduces that fold bit-exactly.
         for host in engine._host_list:
-            clock = host.clock
-            clock.cycle += committed
-            clock.total_executed += committed
-            execution = host.execution
-            bucket = execution.ledger.buckets
-            bucket[execution.category] = repeat_add(
-                bucket[execution.category], execution._seconds_per_cycle, committed
-            )
-            execution.cycles_charged += committed
+            host.advance(committed)
         engine.ledger.commit_cycles(committed)
         engine.transitions.record_conservative_cycle(committed)
         return committed

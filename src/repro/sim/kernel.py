@@ -16,8 +16,8 @@ A cycle consists of:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .clock import Clock
 from .component import ClockedComponent
@@ -36,20 +36,12 @@ class KernelStats:
     cycles_run: int = 0
     events_fired: int = 0
     commits: int = 0
-    #: Refused :meth:`CycleKernel.fast_forward` calls, keyed by the
-    #: structured reason (see :attr:`CycleKernel.last_refusal`).
-    fast_forward_refusals: dict = field(default_factory=dict)
-
-    def count_refusal(self, reason: str) -> None:
-        refusals = self.fast_forward_refusals
-        refusals[reason] = refusals.get(reason, 0) + 1
 
     def as_dict(self) -> dict:
         return {
             "cycles_run": self.cycles_run,
             "events_fired": self.events_fired,
             "commits": self.commits,
-            "fast_forward_refusals": dict(self.fast_forward_refusals),
         }
 
 
@@ -65,12 +57,6 @@ class CycleKernel:
         self.stats = KernelStats()
         self._pre_cycle_hooks: list[Callable[[int], None]] = []
         self._post_cycle_hooks: list[Callable[[int], None]] = []
-        #: Why the most recent :meth:`fast_forward` call refused (``None``
-        #: after a successful skip).  Machine-readable ``reason`` or
-        #: ``reason:detail`` strings, e.g. ``"hooks"``, ``"bundles"``,
-        #: ``"event_horizon"``, ``"undeclared_component:dma0"``,
-        #: ``"component_horizon:bus"``.
-        self.last_refusal: Optional[str] = None
 
     # -- construction ------------------------------------------------------
     def add_component(self, component: ClockedComponent) -> ClockedComponent:
@@ -134,81 +120,12 @@ class CycleKernel:
             )
         return self.run(cycle - self.clock.cycle)
 
-    def fast_forward(self, cycles: int) -> int:
-        """Advance up to ``cycles`` provably-quiescent cycles in one step.
-
-        The batch-stepping entry point at the kernel layer: when every
-        registered component declares (via an optional ``quiescent_until
-        (cycle)`` method) that its ``tick`` is a complete no-op for a run of
-        upcoming cycles, and no discrete event falls inside that run, the
-        kernel advances clock, scheduler time and counters in O(1) instead of
-        dispatching per cycle.  Returns the number of cycles skipped (0 when
-        nothing could be proven, in which case no state was touched and the
-        caller falls back to :meth:`run_cycle`).
-
-        A component's ``quiescent_until(cycle)`` must return the first future
-        cycle at which its ``tick`` may do observable work (``float("inf")``
-        for "never"); components without the method make the kernel
-        ineligible, as do registered hooks and signal bundles (both are
-        invoked unconditionally every scalar cycle).
-
-        Every refusal records a structured reason in :attr:`last_refusal`
-        (and tallies it in ``stats.fast_forward_refusals``) so callers can
-        report *why* a stretch ran scalar instead of a bare ``0``.
-        """
-        if cycles <= 0:
-            return self._refuse("no_cycles")
-        if self._pre_cycle_hooks or self._post_cycle_hooks:
-            return self._refuse("hooks")
-        if self.bundles:
-            return self._refuse("bundles")
-        cycle = self.clock.cycle
-        horizon = float(cycle + cycles)
-        next_event = self.scheduler.peek_time()
-        if next_event is not None and next_event < horizon:
-            horizon = float(next_event)
-        if horizon <= cycle:
-            return self._refuse("event_horizon")
-        for component in self.components:
-            declare = getattr(component, "quiescent_until", None)
-            if declare is None:
-                return self._refuse(
-                    f"undeclared_component:{getattr(component, 'name', type(component).__name__)}"
-                )
-            until = declare(cycle)
-            if until < horizon:
-                horizon = until
-                if horizon <= cycle:
-                    return self._refuse(
-                        f"component_horizon:{getattr(component, 'name', type(component).__name__)}"
-                    )
-        count = int(horizon) - cycle
-        if count <= 0:
-            # A fractional horizon truncating to the current cycle.
-            return self._refuse("horizon")
-        # No event lies at or before the last skipped cycle, so this fires
-        # nothing -- it only brings the scheduler's clock to where the last
-        # scalar ``run_cycle`` would have left it.
-        self.stats.events_fired += self.scheduler.fire_until(cycle + count - 1)
-        self.clock.advance(count)
-        self.stats.cycles_run += count
-        self.stats.commits += count
-        self.last_refusal = None
-        return count
-
-    def _refuse(self, reason: str) -> int:
-        """Record one refused fast-forward; always returns 0 cycles."""
-        self.last_refusal = reason
-        self.stats.count_refusal(reason)
-        return 0
-
     # -- state management --------------------------------------------------
     def reset(self) -> None:
         """Reset the clock, scheduler, every component and every bundle."""
         self.clock.reset()
         self.scheduler.reset()
         self.stats = KernelStats()
-        self.last_refusal = None
         for component in self.components:
             component.reset()
         for bundle in self.bundles:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable
 
+from .batchmath import repeat_add
 
 #: Canonical cost categories (order matters for reporting).
 CATEGORIES = (
@@ -154,7 +155,7 @@ class ExecutionCostModel:
     speed: DomainSpeed
     cycles_charged: int = 0
     #: Cached ``speed.seconds_per_cycle`` (the property recomputes the
-    #: division on every read; charge_cycles runs once per executed cycle).
+    #: division on every read).
     _seconds_per_cycle: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -163,15 +164,26 @@ class ExecutionCostModel:
         self.ledger.ensure_category(self.category)
 
     def charge_cycles(self, count: int) -> float:
-        """Charge the time to execute ``count`` cycles; returns seconds charged."""
+        """Charge the time to execute ``count`` cycles; returns their nominal
+        cost ``count * seconds_per_cycle``.
+
+        The bucket receives one ``+= seconds_per_cycle`` per cycle, folded
+        bit-exactly by :func:`~repro.sim.batchmath.repeat_add`, so charging
+        ``k`` cycles at once books the same float as ``k`` single charges.
+        """
         if count < 0:
             raise LedgerError("cannot charge a negative cycle count")
-        seconds = count * self._seconds_per_cycle
-        # Direct bucket update (the category was validated at construction
-        # via ensure_category, and seconds is non-negative by construction).
-        self.ledger.buckets[self.category] += seconds
+        # Direct bucket update: the category was validated at construction
+        # via ensure_category.
+        buckets = self.ledger.buckets
+        if count == 1:  # the per-cycle hot path
+            buckets[self.category] += self._seconds_per_cycle
+        else:
+            buckets[self.category] = repeat_add(
+                buckets[self.category], self._seconds_per_cycle, count
+            )
         self.cycles_charged += count
-        return seconds
+        return count * self._seconds_per_cycle
 
 
 def summarize_ledgers(ledgers: Iterable[WallClockLedger]) -> WallClockLedger:

@@ -202,3 +202,108 @@ class TestLockstepExecution:
         for cycle in range(6, 20):
             lockstep_cycle(sim_hbm, acc_hbm, cycle)
         assert [memory.read_word(0x1010 + 4 * i) for i in range(4)] == [5, 6, 7, 8]
+
+
+def record_key(record):
+    return (
+        record.cycle,
+        record.granted_master,
+        record.address_phase,
+        record.data_phase,
+        record.hwdata,
+        record.response,
+        dict(record.requests),
+    )
+
+
+def late_write_pair():
+    """A split pair whose only master stays idle until cycle 30."""
+    return build_split_pair(
+        [BusTransaction(0, 0x1000, True, HBurst.INCR4, data=[1, 2, 3, 4], issue_cycle=30)]
+    )
+
+
+class TestIdleCommit:
+    def test_idle_drive_is_all_low_while_the_master_waits(self):
+        sim_hbm, acc_hbm, _, _ = late_write_pair()
+        drive = acc_hbm.idle_drive(0)
+        assert drive is not None
+        assert drive.cycle == 0
+        assert drive.requests == {0: False}
+        assert drive.address_phase is None or not drive.address_phase.is_active
+        # The simulator half has no local master: its idle drive is empty.
+        assert sim_hbm.idle_drive(0).requests == {}
+
+    def test_idle_drive_is_none_once_a_local_master_requests(self):
+        _, acc_hbm, _, _ = build_split_pair(
+            [BusTransaction(0, 0x1000, True, HBurst.SINGLE, data=[5])]
+        )
+        assert acc_hbm.idle_drive(0) is None
+
+    def test_commit_idle_cycles_matches_scalar_idle_commits(self):
+        scalar = late_write_pair()
+        batched = late_write_pair()
+        run_lockstep(scalar[0], scalar[1], 20)
+
+        sim_hbm, acc_hbm, _, _ = batched
+        assert sim_hbm.idle_stationary() and acc_hbm.idle_stationary()
+        local = acc_hbm.idle_drive(0)
+        merged = sim_hbm.merge_drive(sim_hbm.idle_drive(0), local)
+        requests = {0: False}
+        records = sim_hbm.commit_idle_cycles(0, [merged.address_phase] * 20, requests)
+        acc_hbm.adopt_idle_records(records, requests)
+
+        assert all(a is b for a, b in zip(acc_hbm.records, records))  # by reference
+        assert len(acc_hbm.records) == len(records) == 20
+        for scalar_hbm, batched_hbm in zip(scalar[:2], batched[:2]):
+            assert [record_key(r) for r in batched_hbm.records] == [
+                record_key(r) for r in scalar_hbm.records
+            ]
+            assert batched_hbm.core.snapshot() == scalar_hbm.core.snapshot()
+        # Both pairs then run the burst to the same end state.
+        for pair in (scalar, batched):
+            for cycle in range(20, 60):
+                lockstep_cycle(pair[0], pair[1], cycle)
+        assert batched[0].recorder.beat_keys() == scalar[0].recorder.beat_keys()
+        assert len(batched[0].recorder.beats) == 4
+        assert [batched[3].read_word(0x1000 + 4 * i) for i in range(4)] == [1, 2, 3, 4]
+
+    def test_redo_checkpoint_window_regrows_the_discarded_history(self):
+        reference = build_split_pair(
+            [
+                BusTransaction(0, 0x1000, True, HBurst.INCR4, data=[1, 2, 3, 4]),
+                BusTransaction(0, 0x1010, True, HBurst.INCR4, data=[5, 6, 7, 8]),
+            ]
+        )
+        pair = build_split_pair(
+            [
+                BusTransaction(0, 0x1000, True, HBurst.INCR4, data=[1, 2, 3, 4]),
+                BusTransaction(0, 0x1010, True, HBurst.INCR4, data=[5, 6, 7, 8]),
+            ]
+        )
+        run_lockstep(reference[0], reference[1], 30)
+        halves = pair[:2]
+        run_lockstep(pair[0], pair[1], 3)
+        tokens = [hbm.open_checkpoint_window() for hbm in halves]
+        for cycle in range(3, 12):  # the discarded run: ends inside a burst
+            lockstep_cycle(pair[0], pair[1], cycle)
+        discarded = [len(hbm.recorder.beats) for hbm in halves]
+        redo = [hbm.rewind_checkpoint_window(t, redo=True) for hbm, t in zip(halves, tokens)]
+        assert [len(hbm.recorder.beats) for hbm in halves] < discarded
+        for cycle in range(3, 5):  # the re-executed prefix
+            lockstep_cycle(pair[0], pair[1], cycle)
+        for hbm, state in zip(halves, redo):
+            hbm.open_checkpoint_window()
+            hbm.redo_checkpoint_window(state)
+        assert [len(hbm.recorder.beats) for hbm in halves] == discarded
+        for cycle in range(12, 30):
+            lockstep_cycle(pair[0], pair[1], cycle)
+        for hbm, ref in zip(halves, reference[:2]):
+            assert hbm.recorder.beat_keys() == ref.recorder.beat_keys()
+            assert [(t.data, t.hburst) for t in hbm.recorder.finalize()] == [
+                (t.data, t.hburst) for t in ref.recorder.finalize()
+            ]
+            assert [record_key(r) for r in hbm.records] == [
+                record_key(r) for r in ref.records
+            ]
+        assert [pair[3].read_word(0x1000 + 4 * i) for i in range(8)] == list(range(1, 9))

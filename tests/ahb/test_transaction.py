@@ -123,3 +123,39 @@ class TestTransactionRecorder:
         recorder.restore(state)
         assert len(recorder.beats) == 1
         assert len(recorder.transactions) == 1
+
+    def test_restore_keeps_a_burst_open_across_the_snapshot(self):
+        recorder = TransactionRecorder()
+        recorder.record_beat(beat(addr=0x0, data=1, first=True))
+        recorder.record_beat(beat(addr=0x4, data=2, first=False))
+        state = recorder.snapshot()
+        # Speculative beats, rolled back ...
+        recorder.record_beat(beat(addr=0x8, data=99, first=False))
+        recorder.restore(state)
+        # ... then the burst completes for real.
+        recorder.record_beat(beat(addr=0x8, data=3, first=False))
+        recorder.record_beat(beat(addr=0xC, data=4, first=False))
+        transactions = recorder.finalize()
+        assert len(transactions) == 1
+        assert transactions[0].data == [1, 2, 3, 4]
+        assert transactions[0].hburst is HBurst.INCR4
+
+    def test_open_bursts_close_at_finalize_in_opening_order(self):
+        recorder = TransactionRecorder()
+        recorder.record_beat(beat(master=0, addr=0x0, data=1, first=True))
+        recorder.record_beat(beat(master=1, addr=0x100, data=2, first=True, burst=HBurst.INCR))
+        recorder.record_beat(beat(master=1, addr=0x104, data=3, first=False, burst=HBurst.INCR))
+        assert [(t.master_id, t.data) for t in recorder.finalize()] == [(0, [1]), (1, [2, 3])]
+
+    def test_incr_burst_runs_until_its_masters_next_first_beat(self):
+        recorder = TransactionRecorder()
+        recorder.record_beat(beat(master=0, addr=0x0, data=1, burst=HBurst.INCR))
+        recorder.record_beat(beat(master=1, addr=0x100, data=7, burst=HBurst.SINGLE))
+        recorder.record_beat(beat(master=0, addr=0x4, data=2, first=False, burst=HBurst.INCR))
+        recorder.record_beat(beat(master=0, addr=0x8, data=3, first=False, burst=HBurst.INCR))
+        recorder.record_beat(beat(master=0, addr=0x40, data=4, burst=HBurst.SINGLE))
+        assert [(t.master_id, t.hburst, t.data) for t in recorder.transactions] == [
+            (1, HBurst.SINGLE, [7]),
+            (0, HBurst.INCR, [1, 2, 3]),
+            (0, HBurst.SINGLE, [4]),
+        ]

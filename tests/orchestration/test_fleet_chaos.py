@@ -30,6 +30,7 @@ from repro.orchestration.fleet import (
     FleetWorkerStats,
     _worker_entry,
     claims_dir,
+    load_attempts,
     load_worker_stats,
     snapshots_dir,
 )
@@ -80,7 +81,62 @@ def test_fleet_survives_chaos_kills_and_hangs_byte_identical(tmp_path):
     resumed = sum(w.resumed for w in stats.workers)
     assert resumed >= 1  # a killed point was picked up from its snapshot
     stolen = sum(w.stolen for w in stats.workers)
-    assert stolen >= 1  # a hung worker's lease was stolen
+    # Both workers hang at the same time on this schedule, so the steals
+    # taken here are of the killed workers' abandoned leases; the hang-steal
+    # path has its own test below.
+    assert stolen >= 1
+
+
+def test_fleet_steals_a_hung_workers_lease_while_it_hangs(tmp_path):
+    grid = grid_requests(
+        scenarios=["single_master", "als_streaming"],
+        modes=["conservative", "als"],
+        cycles=150,
+    )
+    serial = BatchRunner(jobs=1).run(grid)
+    # Seed 4 hangs exactly one of the four points, so one worker hangs while
+    # the other finishes the rest and is free to steal.  The hang outlasts
+    # the stall detection plus one lease TTL (~2 s, when the lease becomes
+    # stealable) and the deadline (5 s), which then ends the hung attempt as
+    # ``timeout`` on the ledger and SIGKILLs its worker.  The grid is done
+    # by then, so nothing restarts it.
+    chaos = ChaosConfig(seed=4, hang_probability=0.25, hang_seconds=30.0)
+    hung = [
+        r.request_id
+        for r in grid
+        if plan_for(chaos, r.request_id, r.cycles).action == "hang"
+    ]
+    assert len(hung) == 1
+
+    records, stats = run_fleet(
+        grid,
+        cache_dir=tmp_path / "cache",
+        workers=2,
+        ttl=1.0,
+        poll_interval=0.1,
+        checkpoint=CheckpointPolicy(every_cycles=30),
+        chaos=chaos,
+        deadline=5.0,
+    )
+    assert _bytes(records) == _bytes(serial)
+    assert not load_quarantine(tmp_path / "cache", stats.sweep_id)
+    ledgers = {
+        r.request_id: load_attempts(tmp_path / "cache", stats.sweep_id, r.request_id)
+        for r in grid
+    }
+    # Only the planned hang point keeps an attempt on the ledger: the hung
+    # one, timed out by its own worker.
+    assert [rid for rid, attempts in ledgers.items() if attempts] == hung
+    (attempt,) = ledgers[hung[0]]
+    assert attempt["status"] == "timeout"
+    # No worker died before the grid was done (a death would have been
+    # restarted), so the other worker stole the lease of a live, hung
+    # worker and took the point over from its open attempt.
+    assert stats.restarts == 0
+    stealers = [w for w in stats.workers if w.stolen]
+    assert len(stealers) == 1
+    assert stealers[0].owner != attempt["owner"]
+    assert stealers[0].stolen == 1 and stealers[0].retried == 1
 
 
 # ---------------------------------------------------------------------------

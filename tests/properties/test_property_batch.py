@@ -11,10 +11,10 @@ properties throw randomised configurations at that claim.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.channel.faults import ChannelFaultConfig
+from repro.channel.faults import ChannelDegradedError, ChannelFaultConfig
 from repro.core import CoEmulationConfig, OperatingMode
 from repro.core.engine import create_engine
 from repro.workloads.catalog import accelerator_farm_4x_soc, sim_only_baseline_soc
@@ -110,6 +110,15 @@ def test_batch_engines_are_bit_identical_across_topology_sizes(n_domains, seed, 
     acc_writes_to_sim=st.booleans(),
 )
 @settings(max_examples=10, deadline=None)
+# A lossy draw on which the conservative reply gives up at target cycle 129.
+@example(
+    seed=2439,
+    loss_rate=0.125,
+    duplicate_rate=0.0625,
+    reorder_rate=0.0625,
+    mode=OperatingMode.CONSERVATIVE,
+    acc_writes_to_sim=False,
+)
 def test_batch_engines_are_bit_identical_under_channel_faults(
     seed, loss_rate, duplicate_rate, reorder_rate, mode, acc_writes_to_sim
 ):
@@ -125,4 +134,15 @@ def test_batch_engines_are_bit_identical_under_channel_faults(
         )
         return spec
 
-    assert_batch_bit_identical(factory, mode=mode, total_cycles=180)
+    # A lossy draw may legitimately degrade the link past its give-up
+    # threshold; the typed ChannelDegradedError is then the run's outcome,
+    # and both engines must reach the same one.
+    outcomes = []
+    for batch_stepping in (False, True):
+        try:
+            outcomes.append(
+                full_digest(run_spec(factory(), batch_stepping, mode=mode, total_cycles=180))
+            )
+        except ChannelDegradedError as exc:
+            outcomes.append(("degraded", str(exc)))
+    assert outcomes[0] == outcomes[1]

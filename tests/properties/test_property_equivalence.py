@@ -16,7 +16,7 @@ from repro.sim.component import Domain
 from repro.sim.kernel import CycleKernel
 from repro.workloads import AddressWindow, MasterSpec, SlaveSpec, SocSpec
 from repro.workloads.generators import TrafficProfile, generate_traffic
-from repro.workloads.trace import traces_equivalent
+from repro.workloads.trace import traces_equivalent, transaction_to_dict
 
 
 SIM_WINDOW = AddressWindow(base=0x1000_0000, size=0x1000)
@@ -113,3 +113,16 @@ def test_random_workloads_preserve_functional_equivalence(
     result = OptimisticCoEmulation(partition, config).run()
     assert result.monitors_ok
     assert traces_equivalent(bus.recorder, [sim_hbm.recorder, acc_hbm.recorder]) is None
+    # The reassembled transactions too (per master, cycles excluded): a
+    # rolled-back leader must not split a burst that was open at its
+    # checkpoint.
+    reference = transaction_streams(bus.recorder)
+    assert transaction_streams(sim_hbm.recorder) == reference
+    assert transaction_streams(acc_hbm.recorder) == reference
+
+
+def transaction_streams(recorder):
+    streams = {}
+    for txn in recorder.finalize():
+        streams.setdefault(txn.master_id, []).append(transaction_to_dict(txn))
+    return streams

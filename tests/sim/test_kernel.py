@@ -125,144 +125,3 @@ def test_rollback_variable_count_sums_components():
     kernel = CycleKernel("k")
     kernel.add_components([CountingComponent("a"), CountingComponent("b")])
     assert kernel.rollback_variable_count() == 2
-
-
-class QuiescentComponent(CountingComponent):
-    """Test helper: declares its tick a no-op until a fixed wake-up cycle."""
-
-    def __init__(self, name: str, wake_at: float) -> None:
-        super().__init__(name)
-        self.wake_at = wake_at
-
-    def quiescent_until(self, cycle: int) -> float:
-        return self.wake_at
-
-
-def test_fast_forward_skips_quiescent_stretch():
-    kernel = CycleKernel("k")
-    kernel.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    skipped = kernel.fast_forward(25)
-    assert skipped == 25
-    assert kernel.current_cycle == 25
-    assert kernel.stats.cycles_run == 25
-    assert kernel.stats.commits == 25
-
-
-def test_fast_forward_is_capped_by_component_horizon():
-    kernel = CycleKernel("k")
-    kernel.add_component(QuiescentComponent("q", wake_at=7.0))
-    assert kernel.fast_forward(25) == 7
-    assert kernel.current_cycle == 7
-    # now at the wake-up cycle: nothing further can be proven
-    assert kernel.fast_forward(25) == 0
-    assert kernel.current_cycle == 7
-
-
-def test_fast_forward_is_capped_by_pending_events():
-    kernel = CycleKernel("k")
-    kernel.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    fired = []
-    kernel.scheduler.schedule(10, fired.append)
-    assert kernel.fast_forward(25) == 10
-    assert kernel.current_cycle == 10
-    assert fired == []  # the event is due *at* 10 and must fire scalar
-    kernel.run_cycle()
-    assert fired == [None]
-
-
-def test_fast_forward_refuses_components_without_declaration():
-    kernel = CycleKernel("k")
-    component = kernel.add_component(CountingComponent("c"))
-    assert kernel.fast_forward(25) == 0
-    assert kernel.current_cycle == 0
-    assert component.counter == 0
-
-
-def test_fast_forward_refuses_hooks_and_bundles():
-    kernel = CycleKernel("k")
-    kernel.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    kernel.add_pre_cycle_hook(lambda c: None)
-    assert kernel.fast_forward(25) == 0
-
-    kernel2 = CycleKernel("k2")
-    kernel2.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    kernel2.add_bundle(SignalBundle("b"))
-    assert kernel2.fast_forward(25) == 0
-
-
-def test_fast_forward_zero_or_negative_request_is_a_no_op():
-    kernel = CycleKernel("k")
-    kernel.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    assert kernel.fast_forward(0) == 0
-    assert kernel.fast_forward(-3) == 0
-    assert kernel.current_cycle == 0
-
-
-def test_fast_forward_refusals_carry_structured_reasons():
-    """A refused fast-forward names its reason instead of a bare zero."""
-    kernel = CycleKernel("k")
-    component = kernel.add_component(CountingComponent("dma0"))
-    assert kernel.fast_forward(25) == 0
-    assert kernel.last_refusal == "undeclared_component:dma0"
-    assert component.counter == 0
-
-    hooked = CycleKernel("hooked")
-    hooked.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    hooked.add_pre_cycle_hook(lambda c: None)
-    hooked.fast_forward(25)
-    assert hooked.last_refusal == "hooks"
-
-    bundled = CycleKernel("bundled")
-    bundled.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    bundled.add_bundle(SignalBundle("b"))
-    bundled.fast_forward(25)
-    assert bundled.last_refusal == "bundles"
-
-    empty = CycleKernel("empty")
-    empty.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    empty.fast_forward(0)
-    assert empty.last_refusal == "no_cycles"
-
-
-def test_fast_forward_refusal_reasons_for_horizons():
-    kernel = CycleKernel("k")
-    kernel.add_component(QuiescentComponent("bus", wake_at=7.0))
-    assert kernel.fast_forward(25) == 7
-    assert kernel.last_refusal is None  # success clears the reason
-    assert kernel.fast_forward(25) == 0
-    assert kernel.last_refusal == "component_horizon:bus"
-
-    evented = CycleKernel("evented")
-    evented.add_component(QuiescentComponent("q", wake_at=float("inf")))
-    evented.scheduler.schedule(0, lambda _: None)
-    assert evented.fast_forward(25) == 0
-    assert evented.last_refusal == "event_horizon"
-
-
-def test_fast_forward_refusals_are_tallied_in_stats():
-    kernel = CycleKernel("k")
-    kernel.add_component(CountingComponent("c"))
-    kernel.fast_forward(10)
-    kernel.fast_forward(10)
-    stats = kernel.stats.as_dict()
-    assert stats["fast_forward_refusals"] == {"undeclared_component:c": 2}
-    kernel.reset()
-    assert kernel.last_refusal is None
-    assert kernel.stats.as_dict()["fast_forward_refusals"] == {}
-
-
-def test_fast_forward_then_run_matches_pure_scalar_schedule():
-    """A fast-forwarded kernel continues exactly where a scalar one would."""
-    scalar = CycleKernel("scalar")
-    scalar_component = scalar.add_component(QuiescentComponent("q", wake_at=12.0))
-    scalar.run(12)
-
-    batched = CycleKernel("batched")
-    batched_component = batched.add_component(QuiescentComponent("q", wake_at=12.0))
-    assert batched.fast_forward(12) == 12
-    assert batched.current_cycle == scalar.current_cycle
-    scalar.run(3)
-    batched.run(3)
-    assert batched_component.seen_cycles == [12, 13, 14]
-    assert scalar_component.seen_cycles[-3:] == [12, 13, 14]
-    assert batched.current_cycle == scalar.current_cycle

@@ -75,6 +75,28 @@ def test_execution_cost_model_charges_at_domain_speed():
     assert cost.cycles_charged == 100
 
 
+def test_execution_cost_model_batched_charge_is_the_sequential_fold():
+    batched, single = WallClockLedger(), WallClockLedger()
+    speed = DomainSpeed(3_000_000.0)
+    at_once = ExecutionCostModel(batched, "simulator", speed)
+    one_by_one = ExecutionCostModel(single, "simulator", speed)
+    batched.buckets["simulator"] = single.buckets["simulator"] = 0.1
+    at_once.charge_cycles(1000)
+    for _ in range(1000):
+        one_by_one.charge_cycles(1)
+    assert repr(batched.buckets["simulator"]) == repr(single.buckets["simulator"])
+    assert at_once.cycles_charged == one_by_one.cycles_charged == 1000
+
+
+def test_execution_cost_model_zero_count_books_nothing():
+    ledger = WallClockLedger()
+    ledger.buckets["simulator"] = 0.25
+    cost = ExecutionCostModel(ledger, "simulator", DomainSpeed(3_000_000.0))
+    assert cost.charge_cycles(0) == 0.0
+    assert ledger.buckets["simulator"] == 0.25
+    assert cost.cycles_charged == 0
+
+
 def test_execution_cost_model_rejects_negative_counts():
     cost = ExecutionCostModel(WallClockLedger(), "simulator", DomainSpeed(1e6))
     with pytest.raises(LedgerError):
