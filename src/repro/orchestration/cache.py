@@ -13,8 +13,11 @@ canonical JSONL encoding the run store uses:
   cached request, appended in first-seen order;
 * lookups go through an in-memory per-shard index, loaded lazily, so a sweep
   touching a few shards never reads the rest of the cache;
-* every line is verified against the record's embedded digest on load --
-  damaged or torn lines are dropped (and counted), never served;
+* every line is verified against its own bytes on load, by the store's
+  :func:`~repro.orchestration.store.parse_record_line`: the text around its
+  ``"digest"`` member must hash to it, and the served record keeps that
+  line rather than re-encoding itself.  Damaged, torn, digest-less and
+  non-canonical lines are dropped (counted and quarantined), never served;
 * shard rewrites are atomic (temp file + rename) and re-merge the on-disk
   shard first, so an interrupted writer can never tear a shard and
   concurrent sweeps sharing one cache directory cannot corrupt it.  The

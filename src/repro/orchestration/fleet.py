@@ -991,6 +991,13 @@ def run_fleet(
             if process.is_alive():  # pragma: no cover - drain itself wedged
                 process.kill()
                 process.join(timeout=5.0)
+    # Workers that died after the last liveness round (a hung worker whose
+    # own deadline pump SIGKILLed it once its stolen point was done) still
+    # get their exit code on the ledger.  Their points are finished, so
+    # there is no lease left to abandon.
+    for process in processes:
+        if process.exitcode:
+            settle_attempts(cache_dir, sweep_id, process.name, process.exitcode)
 
     cache.refresh()
     quarantined = quarantined_ids()

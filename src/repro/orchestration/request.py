@@ -262,8 +262,22 @@ class RunRecord:
         return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunRecord":
-        return cls(**payload)
+    def from_verified_line(cls, payload: Dict[str, Any], line: str) -> "RunRecord":
+        """Adopt a stored record whose ``line`` already passed its digest check.
+
+        ``payload`` is ``json.loads(line)`` holding exactly the record's
+        fields, and ``line`` hashes to ``payload["digest"]``
+        (:func:`~repro.orchestration.store.parse_record_line` checks both).
+        The record keeps ``line`` as its encoding instead of building one.
+        """
+        record = cls.__new__(cls)
+        set_attribute = object.__setattr__
+        # Set in __init__'s order, so the instance shares its key layout with
+        # engine-built records (a materialised __dict__ costs more memory).
+        for name in _RECORD_FIELDS:
+            set_attribute(record, name, payload[name])
+        set_attribute(record, "_encoding", (payload["digest"], line))
+        return record
 
     def row(self) -> Dict[str, Any]:
         """Flat summary row for tabular reports."""
@@ -286,6 +300,9 @@ _RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 #: The two halves of a record's sorted-key encoding (``RunRecord.__post_init__``).
 _RECORD_FIELDS_BEFORE_DIGEST = tuple(name for name in _RECORD_FIELDS if name < "digest")
 _RECORD_FIELDS_AFTER_DIGEST = tuple(name for name in _RECORD_FIELDS if name > "digest")
+RECORD_FIELD_SET = frozenset(_RECORD_FIELDS)
+#: What follows the digest value in a store line: the first key after it.
+DIGEST_MEMBER_END = f',"{min(_RECORD_FIELDS_AFTER_DIGEST)}":'
 
 
 def _beat_digest(result: CoEmulationResult) -> str:

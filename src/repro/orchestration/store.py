@@ -8,8 +8,12 @@ experiment runs.
 All mutations go through an atomic temp-file-plus-rename, so a store on disk
 is always a whole number of complete lines: an interrupted sweep can leave a
 *shorter* store than intended, never a torn one.  Every read verifies each
-record's digest.  Iterating a store (or :meth:`RunStore.load`) is strict and
-raises on the first damaged line, naming its byte offset;
+line against its own bytes (:func:`parse_record_line`): the text around the
+``"digest"`` member must hash to it, so a line is accepted only as the exact
+canonical line a writer produced, and the record keeps that line instead of
+encoding itself again.  A digest-less or non-canonical (re-serialised) line
+is damage like any other.  Iterating a store (or :meth:`RunStore.load`) is
+strict and raises on the first damaged line, naming its byte offset;
 :meth:`RunStore.load_valid` instead tolerates stores written by older,
 non-atomic writers (or damaged out-of-band) by skipping unparseable or
 digest-mismatched lines, which is what ``sweep --resume`` uses to reconcile a
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple, Union
 
-from .request import RunRecord
+from .request import DIGEST_MEMBER_END, RECORD_FIELD_SET, RunRecord
 
 logger = logging.getLogger(__name__)
 
@@ -36,9 +40,10 @@ def canonical_line(record: RunRecord) -> str:
     """The canonical single-line JSON encoding of one record.
 
     The line comes out of the same single encoding pass that computed the
-    record's digest (:class:`RunRecord` keeps it), so the store's bytes and
-    the digests can never drift apart -- and writing a record read from a
-    store or cache back out costs no second encode.
+    record's digest (:class:`RunRecord` keeps it), or is the verified line a
+    record was read from, so the store's bytes and the digests can never
+    drift apart -- and writing a record read from a store or cache back out
+    costs no encode at all.
     """
     return record.canonical_line()
 
@@ -70,13 +75,17 @@ def atomic_write_text(path: Path, data: str) -> None:
 
 
 def parse_record_line(line: str) -> RunRecord:
-    """Parse one canonical store line, verifying the embedded digest.
+    """Parse one store line, verifying it against its own bytes.
 
-    Raises ``ValueError`` on torn/garbled JSON, on payloads that do not fit
-    the :class:`RunRecord` schema and on records whose content no longer
-    matches their digest (an edited or bit-rotted line).  Constructing the
-    record encodes it once; the digest check and any later
-    :func:`canonical_line` both reuse that encoding.
+    The line must hold exactly the :class:`RunRecord` fields with one
+    top-level ``"digest"`` member, and the text around that member -- the
+    bytes the writer hashed -- must hash to the digest.  So only the exact
+    canonical line a writer produced is accepted: an edited or bit-rotted
+    line, a line without a digest and a re-serialised (non-canonical, e.g.
+    spaced) line are all damage and raise ``ValueError``, as do torn or
+    garbled JSON and payloads outside the record schema.  The record is
+    built from the parsed payload and keeps ``line`` as its encoding, so
+    neither the check nor a later :func:`canonical_line` encodes it again.
     """
     try:
         payload = json.loads(line)
@@ -84,13 +93,25 @@ def parse_record_line(line: str) -> RunRecord:
         raise ValueError(f"unparseable store line: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("store line is not a JSON object")
-    try:
-        record = RunRecord.from_dict(payload)
-    except TypeError as exc:
-        raise ValueError(f"store line does not fit the record schema: {exc}") from None
-    if record.digest != record.compute_digest():
-        raise ValueError(f"record {record.request_id} fails its digest check")
-    return record
+    if payload.keys() != RECORD_FIELD_SET:
+        odd = sorted(payload.keys() ^ RECORD_FIELD_SET)
+        raise ValueError(f"store line does not fit the record schema: {odd}")
+    digest = payload["digest"]
+    if not isinstance(digest, str):
+        raise ValueError(f"record {payload['request_id']} has a non-string digest")
+    # A digest that needs JSON escaping cannot equal a hex hash, so plain
+    # quoting finds every line the hash check could accept.
+    member = ',"digest":"' + digest + '"'
+    marker = member + DIGEST_MEMBER_END
+    start = line.find(marker)
+    if start < 0 or line.find(marker, start + 1) >= 0:
+        raise ValueError(
+            f"record {payload['request_id']} has no single canonical digest member"
+        )
+    hashed = (line[:start] + line[start + len(member):]).encode("utf-8")
+    if hashlib.sha256(hashed).hexdigest()[:16] != digest:
+        raise ValueError(f"record {payload['request_id']} fails its digest check")
+    return RunRecord.from_verified_line(payload, line)
 
 
 @dataclass(frozen=True)

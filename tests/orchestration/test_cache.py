@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.orchestration import (
@@ -112,6 +114,38 @@ def test_digest_tampered_record_is_dropped(tmp_path, record):
     fresh = ResultCache(tmp_path / "cache")
     assert fresh.get(record.request_id) is None
     assert fresh.stats.invalid == 1
+
+
+def test_a_digestless_line_is_quarantined_not_served(tmp_path, record):
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(record)
+    shard = cache.shard_path(record.request_id)
+    payload = json.loads(canonical_line(record))
+    del payload["digest"]
+    digestless = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    shard.write_text(digestless + "\n")
+    fresh = ResultCache(tmp_path / "cache")
+    assert fresh.get(record.request_id) is None
+    assert fresh.stats.invalid == 1
+    assert fresh.stats.quarantined == 1
+    assert shard.with_name(shard.name + ".corrupt").read_text() == digestless + "\n"
+    assert shard.read_text() == ""
+
+
+def test_a_non_canonical_line_is_quarantined_not_served(tmp_path, record):
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(record)
+    shard = cache.shard_path(record.request_id)
+    spaced = json.dumps(json.loads(canonical_line(record)), sort_keys=True)
+    shard.write_text(spaced + "\n")
+    fresh = ResultCache(tmp_path / "cache")
+    assert fresh.get(record.request_id) is None
+    assert fresh.stats.invalid == 1
+    assert fresh.stats.quarantined == 1
+    assert shard.with_name(shard.name + ".corrupt").read_text() == spaced + "\n"
+    # The next put re-stores the canonical line in place of the damage.
+    assert fresh.put(record) == 1
+    assert shard.read_text() == canonical_line(record) + "\n"
 
 
 def test_wrong_shard_record_is_ignored(tmp_path, record):

@@ -129,6 +129,9 @@ def test_fleet_steals_a_hung_workers_lease_while_it_hangs(tmp_path):
     assert [rid for rid, attempts in ledgers.items() if attempts] == hung
     (attempt,) = ledgers[hung[0]]
     assert attempt["status"] == "timeout"
+    # Its own deadline pump SIGKILLed the hung worker after the grid was
+    # done; run_fleet still settles that death on the ledger.
+    assert attempt["exit_code"] == -signal.SIGKILL
     # No worker died before the grid was done (a death would have been
     # restarted), so the other worker stole the lease of a live, hung
     # worker and took the point over from its open attempt.

@@ -3,6 +3,9 @@
 Records and requests are encoded with one shallow pass over their fields.
 The reference encoder below is the historical deep-copying one; every byte
 the store, the cache and the request ids depend on must match it exactly.
+Stored lines are verified against their own bytes; the reference
+re-encoding check below shows that this accepts nothing the old check
+rejected.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.channel.faults import ChannelFaultConfig
 from repro.core.topology import Topology
@@ -46,6 +51,13 @@ def reference_digest(record: RunRecord) -> str:
     payload = dataclasses.asdict(record)
     del payload["digest"]
     return _sha256(_reference_json(payload))[:16]
+
+
+def reference_accepts(line: str) -> bool:
+    """The historical read check: parse, re-encode, compare the digest."""
+    payload = json.loads(line)
+    digest = payload.pop("digest")
+    return _sha256(_reference_json(payload))[:16] == digest
 
 
 def reference_request_id(request: RunRequest) -> str:
@@ -172,3 +184,100 @@ def test_records_are_frozen(records):
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.digest = "0" * 16
     assert canonical_line(record) == reference_line(record)
+
+
+# ---------------------------------------------------------------------------
+# Lines are verified against their own bytes: damage is rejected, never
+# re-encoded into something that passes.
+# ---------------------------------------------------------------------------
+
+
+def _without_digest(line: str) -> str:
+    payload = json.loads(line)
+    del payload["digest"]
+    return _reference_json(payload)
+
+
+def _spaced(line: str) -> str:
+    return json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_a_line_without_a_digest_is_rejected(tmp_path, records):
+    line = _without_digest(canonical_line(records[0]))
+    with pytest.raises(ValueError, match="record schema"):
+        parse_record_line(line)
+    good = canonical_line(records[1])
+    store = RunStore(tmp_path / "runs.jsonl")
+    store.path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"byte offset {len(good) + 1}"):
+        store.load()
+    scan = store.scan()
+    assert [canonical_line(r) for r in scan.records] == [good]
+    assert [(t.offset, t.length) for t in scan.torn] == [(len(good) + 1, len(line) + 1)]
+
+
+def test_a_non_canonical_line_is_rejected(tmp_path, records):
+    line = canonical_line(records[0])
+    spaced = _spaced(line)
+    assert spaced != line and json.loads(spaced) == json.loads(line)
+    assert reference_accepts(spaced)  # the old check re-encoded and passed it
+    with pytest.raises(ValueError, match="digest member"):
+        parse_record_line(spaced)
+    store = RunStore(tmp_path / "runs.jsonl")
+    store.path.write_text(spaced + "\n")
+    with pytest.raises(ValueError, match="byte offset 0"):
+        list(store)
+    assert store.load_valid() == ([], 1)
+
+
+def test_an_empty_or_non_string_digest_is_rejected(records):
+    line = canonical_line(records[0])
+    digest_member = f'"digest":"{records[0].digest}"'
+    for replacement in ('"digest":""', '"digest":0', '"digest":null'):
+        with pytest.raises(ValueError):
+            parse_record_line(line.replace(digest_member, replacement))
+
+
+def test_an_unmutated_line_round_trips(records):
+    for record in records:
+        line = canonical_line(record)
+        loaded = parse_record_line(line)
+        assert loaded.as_dict() == record.as_dict(), record.label
+        assert loaded == record, record.label
+        assert canonical_line(loaded) == line, record.label
+        assert loaded.compute_digest() == record.digest, record.label
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """One canonical line with one byte substituted, inserted or deleted."""
+    data = draw(st.sampled_from(lines)).encode("utf-8")
+    kind = draw(st.sampled_from(["substitute", "insert", "delete"]))
+    byte = bytes([draw(st.integers(0, 255))])
+    if kind == "insert":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + byte + data[at:]
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + (byte if kind == "substitute" else b"") + data[at + 1:]
+
+
+@pytest.fixture(scope="module")
+def lines(records):
+    return [canonical_line(record) for record in records]
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_byte_verification_is_no_looser_than_re_encoding(lines, data):
+    mutated = data.draw(mutated_lines(lines))
+    try:
+        line = mutated.decode("utf-8")
+        record = parse_record_line(line)
+    except ValueError:  # includes UnicodeDecodeError
+        return
+    assert canonical_line(record) == line
+    assert reference_accepts(line)
